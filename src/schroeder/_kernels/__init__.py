@@ -23,6 +23,8 @@ sch_rows = _impl.sch_rows
 rs_rows = _impl.rs_rows
 contains_pattern = _impl.contains_pattern
 single_row_predicate = _impl.single_row_predicate
+# a one-pass scan with no compiled twin: both backends share the pure one
+single_column_predicate = pure.single_column_predicate
 sweep_row_col = _impl.sweep_row_col
 sweep_rs_shapes = _impl.sweep_rs_shapes
 sweep_sch_shapes = _impl.sweep_sch_shapes

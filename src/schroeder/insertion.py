@@ -63,19 +63,28 @@ def sch_insert(p: Sequence[int]) -> tuple[SchroderTableau, SchroderTableau]:
 
 def sch_shape(p: Sequence[int]) -> Partition:
     """Shape of the insertion tableau of ``p``."""
-    rows, _ = _kernels.sch_rows(tuple(p))
+    rows, _ = _kernels.sch_rows(check_permutation(p))
     return tuple(len(r) for r in rows)
+
+
+def _check_distinct(values: Iterable[int]) -> tuple[int, ...]:
+    t = tuple(values)
+    if len(set(t)) != len(t):
+        raise ValueError(f"pattern search needs distinct values: {t}")
+    return t
 
 
 def contains_pattern(t: Sequence[int], s: Sequence[int]) -> bool:
     """True iff some subsequence of ``t`` is order-isomorphic to ``s``."""
-    return _kernels.contains_pattern(tuple(t), tuple(s))
+    return _kernels.contains_pattern(_check_distinct(t), _check_distinct(s))
 
 
 def avoids(t: Sequence[int], *patterns: Sequence[int]) -> bool:
     """True iff ``t`` contains none of the given patterns."""
-    t = tuple(t)
-    return not any(_kernels.contains_pattern(t, tuple(s)) for s in patterns)
+    t = _check_distinct(t)
+    return not any(
+        _kernels.contains_pattern(t, _check_distinct(s)) for s in patterns
+    )
 
 
 def enumerate_av(
@@ -108,7 +117,7 @@ def single_row_predicate(p: Sequence[int]) -> bool:
 
 def single_column_predicate(p: Sequence[int]) -> bool:
     """True iff ``p`` avoids both 123 and 213."""
-    return avoids(p, (1, 2, 3), (2, 1, 3))
+    return _kernels.single_column_predicate(tuple(p))
 
 
 def _rooted_split_exists(p: Permutation, s: Permutation, t: Permutation, k: int) -> bool:
@@ -170,26 +179,20 @@ def is_k_rooted_shuffle(
 
 def has_hook_decomposition(p: Sequence[int]) -> bool:
     """True iff ``p`` is a 2-rooted shuffle of a permutation satisfying the
-    single-row predicate and one satisfying the single-column predicate."""
+    single-row predicate and one satisfying the single-column predicate.
+
+    The split is forced: the row side must keep the root as its two smallest
+    values, and a suffix value above both root values on the column side
+    would close a 123 or 213 with them."""
     p = check_permutation(p)
-    n = len(p)
-    if n < 2:
+    if len(p) < 2:
         return False
     root_max = max(p[0], p[1])
-    suffix = p[2:]
-    m = n - 2
-    # The row side must keep the root as its two smallest values, so only
-    # suffix entries above both root values may join it.
-    eligible = [i for i in range(m) if suffix[i] > root_max]
-    for mask in range(1 << len(eligible)):
-        picked = {eligible[b] for b in range(len(eligible)) if mask >> b & 1}
-        s_vals = list(p[:2]) + [suffix[i] for i in eligible if i in picked]
-        t_vals = list(p[:2]) + [suffix[i] for i in range(m) if i not in picked]
-        if _kernels.single_row_predicate(pattern_of(s_vals)) and single_column_predicate(
-            pattern_of(t_vals)
-        ):
-            return True
-    return False
+    row_side = p[:2] + tuple(v for v in p[2:] if v > root_max)
+    col_side = p[:2] + tuple(v for v in p[2:] if v < root_max)
+    return _kernels.single_row_predicate(pattern_of(row_side)) and (
+        _kernels.single_column_predicate(col_side)
+    )
 
 
 def classify_shape(p: Sequence[int]) -> str:

@@ -55,22 +55,6 @@ class SchroderTableau:
         return order(self.shape)
 
 
-def square_columns(shape: Partition) -> int:
-    """Number of square-columns, i.e. ceil(first part / 2)."""
-    return (shape[0] + 1) // 2 if shape else 0
-
-
-def column_cells(shape: Partition, j: int) -> list[tuple[int, int]]:
-    """Cells (row, position) of square-column ``j`` in reading order."""
-    cells = []
-    for i, length in enumerate(shape):
-        if length >= 2 * j - 1:
-            cells.append((i, 2 * j - 1))
-        if length >= 2 * j:
-            cells.append((i, 2 * j))
-    return cells
-
-
 def twin_pairs(shape: Partition) -> list[tuple[int, int]]:
     """Twin pairs as (row, square-column), one per complete square."""
     return [(i, j) for i, length in enumerate(shape) for j in range(1, length // 2 + 1)]
@@ -83,14 +67,29 @@ def lonely_cells(shape: Partition) -> list[tuple[int, int]]:
 
 def is_standard(t: SchroderTableau) -> bool:
     """True iff rows and square-columns strictly increase."""
-    for row in t.rows:
+    return is_standard_rows(t.rows)
+
+
+def is_standard_rows(rows: Rows) -> bool:
+    """True iff the rows strictly increase and so does every square-column of
+    the first row, read top to bottom over the rows that reach it.
+
+    The shape is read from the row lengths and the entries are not checked
+    to be a bijection, so raw insertion rows need no tableau object.
+    """
+    for row in rows:
         if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
             return False
-    for j in range(1, square_columns(t.shape) + 1):
-        cells = column_cells(t.shape, j)
-        values = [t.rows[i][p - 1] for i, p in cells]
-        if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-            return False
+    # within a row the upper triangle precedes its twin, which the row check
+    # covers; across rows, a square-column's first cell in a row must exceed
+    # its last cell in the row above
+    for j in range(0, len(rows[0]) if rows else 0, 2):
+        last = None
+        for row in rows:
+            if len(row) > j:
+                if last is not None and row[j] <= last:
+                    return False
+                last = row[j + 1] if len(row) > j + 1 else row[j]
     return True
 
 

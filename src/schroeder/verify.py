@@ -201,15 +201,17 @@ def run_rsk(max_n: int = 8, **_) -> VerifyReport:
     validity_bad: list[tuple] = []
     hook_mism: list[tuple] = []
     for n in range(1, sch_max + 1):
-        for perm in _perms(range(1, n + 1)):
+        entries = list(range(1, n + 1))
+        for perm in _perms(entries):
             p_rows, q_rows = _kernels.sch_rows(perm)
             shape = tuple(len(r) for r in p_rows)
-            q_shape = tuple(len(r) for r in q_rows)
             if (
-                q_shape != shape
+                tuple(len(r) for r in q_rows) != shape
                 or not is_schroeder(shape)
-                or not tableaux.is_standard(tableaux.SchroderTableau(shape, p_rows))
-                or not tableaux.is_standard(tableaux.SchroderTableau(q_shape, q_rows))
+                or sorted(x for r in p_rows for x in r) != entries
+                or sorted(x for r in q_rows for x in r) != entries
+                or not tableaux.is_standard_rows(p_rows)
+                or not tableaux.is_standard_rows(q_rows)
             ):
                 validity_bad.append(perm)
             shape_hook = tableaux.is_hook_shape(shape) and sum(shape) >= 2

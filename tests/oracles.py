@@ -57,6 +57,16 @@ def all_fillings(shape):
         yield tuple(rows)
 
 
+def brute_is_standard(rows):
+    """Standardness read off the definition: every row increases, and so
+    does every square-column of the first row, read top to bottom with the
+    upper triangle before the lower one in each row."""
+    sequences = list(rows)
+    for j in range(0, len(rows[0]) if rows else 0, 2):
+        sequences.append([x for row in rows for x in row[j : j + 2]])
+    return all(a < b for seq in sequences for a, b in zip(seq, seq[1:]))
+
+
 def brute_contains_pattern(values, pattern):
     """Pattern containment by scanning all index combinations."""
     k = len(pattern)
@@ -72,6 +82,41 @@ def brute_contains_pattern(values, pattern):
 def rank_pattern(values):
     order = sorted(values)
     return tuple(order.index(v) + 1 for v in values)
+
+
+def brute_avoids_123_213(values):
+    """Av(123, 213) by scanning all index triples."""
+    return not brute_contains_pattern(values, (1, 2, 3)) and not brute_contains_pattern(
+        values, (2, 1, 3)
+    )
+
+
+def search_avoids_123_213(values):
+    """Av(123, 213) by two backtracking pattern searches."""
+    from schroeder._kernels import pure
+
+    return not pure.contains_pattern(values, (1, 2, 3)) and not pure.contains_pattern(
+        values, (2, 1, 3)
+    )
+
+
+def subset_hook_decomposition(p):
+    """The 2-rooted shuffle test by trying every subset of the suffix values
+    above the root as the row side; the rest, with the root, is the column
+    side."""
+    from schroeder._kernels import pure
+
+    if len(p) < 2:
+        return False
+    root, suffix = list(p[:2]), p[2:]
+    eligible = [i for i, v in enumerate(suffix) if v > max(root)]
+    for mask in range(1 << len(eligible)):
+        picked = {eligible[b] for b in range(len(eligible)) if mask >> b & 1}
+        row = root + [suffix[i] for i in eligible if i in picked]
+        col = root + [v for i, v in enumerate(suffix) if i not in picked]
+        if pure.single_row_predicate(rank_pattern(row)) and search_avoids_123_213(col):
+            return True
+    return False
 
 
 def brute_weakly_contains(host, pat):

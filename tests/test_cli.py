@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -64,6 +65,20 @@ def test_lattice_commands(capsys):
     assert out == "up 3,1\nup 2,2\ndown 2\n"
     code, out, _ = run_cli(capsys, "lattice", "chains", "--shape", "4,3,2")
     assert code == 0 and out == "31\n"
+
+
+def test_lattice_chains_order_limit(capsys):
+    # shapes past the order limit are refused at once instead of recursing
+    # for minutes or past the interpreter's recursion limit
+    for shape in ("3000", "20,18,16,14,12,10,8,6,4,2", "65"):
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, "lattice", "chains", "--shape", shape)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "limit 64" in err
+        assert "Traceback" not in err
+        assert time.monotonic() - t0 < 1
+    code, out, _ = run_cli(capsys, "lattice", "chains", "--shape", "64")
+    assert code == 0 and out == "1\n"
 
 
 def test_classify(capsys):

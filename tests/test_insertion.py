@@ -1,10 +1,16 @@
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_contains_pattern
+from oracles import (
+    brute_avoids_123_213,
+    brute_contains_pattern,
+    subset_hook_decomposition,
+)
+from schroeder import _kernels
 from schroeder.errors import LimitError
 from schroeder.insertion import (
     avoids,
@@ -192,3 +198,41 @@ def test_hook_decomposition_small():
             if has_hook_decomposition(perm):
                 shape = sch_shape(perm)
                 assert all(x <= 2 for x in shape[1:]), perm
+
+
+def test_hook_decomposition_matches_subset_search():
+    for n in range(1, 8):
+        for perm in permutations(range(1, n + 1)):
+            assert has_hook_decomposition(perm) == subset_hook_decomposition(perm), perm
+    rng = random.Random(20161)
+    for n in range(10, 15):
+        for _ in range(200):
+            perm = tuple(rng.sample(range(1, n + 1), n))
+            assert has_hook_decomposition(perm) == subset_hook_decomposition(perm), perm
+
+
+def test_hook_decomposable_counts():
+    counts = [
+        sum(has_hook_decomposition(p) for p in permutations(range(1, n + 1)))
+        for n in range(2, 9)
+    ]
+    assert counts == [2, 6, 20, 68, 232, 792, 2704]
+
+
+def test_single_column_predicate_matches_bruteforce():
+    for n in range(0, 9):
+        for perm in permutations(range(1, n + 1)):
+            expected = brute_avoids_123_213(perm)
+            assert _kernels.single_column_predicate(perm) == expected, perm
+            assert single_column_predicate(perm) == expected, perm
+
+
+def test_public_functions_reject_repeated_values():
+    with pytest.raises(ValueError):
+        sch_shape((1, 1, 2))
+    with pytest.raises(ValueError):
+        contains_pattern((1, 1, 2), (1, 2))
+    with pytest.raises(ValueError):
+        contains_pattern((1, 2, 3), (1, 1))
+    with pytest.raises(ValueError):
+        avoids((2, 2), (1, 2))

@@ -1,19 +1,19 @@
 import pytest
 
-from oracles import all_fillings
+from oracles import all_fillings, brute_is_standard
 from schroeder.errors import LimitError
 from schroeder.lattice import covers
 from schroeder.partitions import enumerate_schroeder_partitions
 from schroeder.tableaux import (
     SchroderTableau,
     chain_to_tableau,
-    column_cells,
     count_tableaux,
     enumerate_tableaux,
     is_hook_shape,
     is_single_column_shape,
     is_single_row_shape,
     is_standard,
+    is_standard_rows,
     lonely_cells,
     render,
     tableau_from_json,
@@ -35,8 +35,6 @@ def test_construction_validation():
 def test_geometry():
     assert twin_pairs((4, 3, 2)) == [(0, 1), (0, 2), (1, 1), (2, 1)]
     assert lonely_cells((4, 3, 2)) == [(1, 3)]
-    assert column_cells((4, 3, 2), 1) == [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
-    assert column_cells((4, 3, 2), 2) == [(0, 3), (0, 4), (1, 3)]
 
 
 def test_is_standard_examples():
@@ -44,6 +42,17 @@ def test_is_standard_examples():
     assert is_standard(paper)
     assert not is_standard(SchroderTableau((2, 1), ((1, 3), (2,))))
     assert is_standard(SchroderTableau((1,), ((1,),)))
+
+
+def test_is_standard_rows_matches_definition():
+    # every filling of every shape up to order 6, and of some row-length
+    # lists that are not partitions, where only rows reaching a
+    # square-column of the first row take part in it
+    shapes = [s for n in range(7) for s in enumerate_schroeder_partitions(n)]
+    shapes += [(1, 3), (2, 3, 1), (3, 0, 2), (2, 1, 2)]
+    for shape in shapes:
+        for rows in all_fillings(shape):
+            assert is_standard_rows(rows) == brute_is_standard(rows), rows
 
 
 def test_enumerate_small_shapes():
