@@ -1,8 +1,7 @@
-"""Pure-Python insertion and pattern-search kernels.
+"""Insertion and pattern-search kernels: the hot loops of the library.
 
-These are the reference implementations of the hot loops; a compiled twin
-with identical signatures lives in ``_csweeps``.  Rows of an insertion state
-are kept sorted, so the bump target is found with bisect.
+Rows of an insertion state are kept sorted, so the bump target is found with
+bisect.
 """
 
 from __future__ import annotations
@@ -171,11 +170,6 @@ def sweep_rs_shapes(n: int) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def sweep_sch_shapes(n: int) -> dict[tuple[int, ...], int]:
-    """Count triangular insertion shapes over all permutations of 1..n."""
-    counts: dict[tuple[int, ...], int] = {}
-    for perm in permutations(range(1, n + 1)):
-        rows, _ = sch_rows(perm)
-        shape = tuple(len(r) for r in rows)
-        counts[shape] = counts.get(shape, 0) + 1
-    return counts
+def backend() -> str:
+    """Name of the kernel implementation; there is one, in pure Python."""
+    return "pure"

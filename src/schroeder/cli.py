@@ -2,7 +2,9 @@
 
 Every subcommand produces deterministic output for fixed inputs; ``--format
 json`` emits one JSON object per line.  Exit codes: 0 success, 1 verification
-failure, 2 usage or input error.
+failure, 2 usage or input error, or an unexpected internal error, which prints
+one ``error: internal error: <type>: <message>`` line to stderr and no
+traceback.
 """
 
 from __future__ import annotations
@@ -358,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

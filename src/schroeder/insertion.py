@@ -9,12 +9,7 @@ from typing import Iterable, Iterator, Sequence
 from . import _kernels
 from .errors import LimitError
 from .partitions import Partition
-from .tableaux import (
-    SchroderTableau,
-    is_hook_shape,
-    is_single_column_shape,
-    is_single_row_shape,
-)
+from .tableaux import SchroderTableau
 
 Permutation = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
@@ -39,12 +34,6 @@ def parse_permutation(text: str) -> Permutation:
     else:
         values = [int(ch) for ch in text]
     return check_permutation(values)
-
-
-def format_permutation(p: Permutation) -> str:
-    if p and max(p) <= 9:
-        return "".join(map(str, p))
-    return ",".join(map(str, p))
 
 
 def rs_insert(p: Sequence[int]) -> tuple[Rows, Rows]:
@@ -204,17 +193,6 @@ def classify_shape(p: Sequence[int]) -> str:
     if single_column_predicate(p):
         return "single_column"
     if has_hook_decomposition(p):
-        return "hook"
-    return "other"
-
-
-def shape_class(shape: Partition) -> str:
-    """Classify an insertion shape geometrically, mirroring classify_shape."""
-    if is_single_row_shape(shape):
-        return "single_row"
-    if is_single_column_shape(shape):
-        return "single_column"
-    if is_hook_shape(shape):
         return "hook"
     return "other"
 

@@ -8,7 +8,6 @@ the empty tuple is the partition of 0.  All functions are pure.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -111,11 +110,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 def enumerate_schroeder_partitions(n: int) -> list[Partition]:
     """All partitions of ``n`` with simple odd parts, lexicographically decreasing."""
     return [p for p in partitions_of(n) if is_schroeder(p)]
-
-
-@lru_cache(maxsize=None)
-def count_schroeder_partitions(n: int) -> int:
-    return len(enumerate_schroeder_partitions(n))
 
 
 def gf_coefficients(max_order: int) -> list[int]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import permutations as _perms
 
 from . import _kernels, insertion, intervals, lattice, posets, tableaux
+from .errors import LimitError
 from .partitions import (
     cluster_map,
     enumerate_schroeder_partitions,
@@ -587,10 +588,27 @@ DEFAULT_MAX = {
 }
 
 
+# the largest depth of each suite that finishes in about a minute on a 2-core
+# host (counts 10: 52 s, differential 38: 58 s, lattice 23: 54 s); the rsk
+# sweeps stop at 8 and the poset suites where poset enumeration does
+MAX_DEPTH = {
+    "counts": 10,
+    "differential": 38,
+    "rsk": 8,
+    "lattice": 23,
+    "sav": posets.SIZE_LIMIT,
+    "interval-theorem": posets.SIZE_LIMIT,
+}
+
+
 def run_suite(name: str, max_size: int | None = None, seed: int = 0) -> VerifyReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     size = DEFAULT_MAX[name] if max_size is None else max_size
+    if size < 1:
+        raise ValueError(f"suite {name} depth must be >= 1, got {size}")
+    if size > MAX_DEPTH[name]:
+        raise LimitError(f"suite {name} depth {size} exceeds limit {MAX_DEPTH[name]}")
     runner = SUITES[name]
     if name == "counts":
         return runner(max_n=size)

@@ -93,18 +93,18 @@ def brute_avoids_123_213(values):
 
 def search_avoids_123_213(values):
     """Av(123, 213) by two backtracking pattern searches."""
-    from schroeder._kernels import pure
+    from schroeder import _kernels
 
-    return not pure.contains_pattern(values, (1, 2, 3)) and not pure.contains_pattern(
-        values, (2, 1, 3)
-    )
+    return not _kernels.contains_pattern(
+        values, (1, 2, 3)
+    ) and not _kernels.contains_pattern(values, (2, 1, 3))
 
 
 def subset_hook_decomposition(p):
     """The 2-rooted shuffle test by trying every subset of the suffix values
     above the root as the row side; the rest, with the root, is the column
     side."""
-    from schroeder._kernels import pure
+    from schroeder import _kernels
 
     if len(p) < 2:
         return False
@@ -114,7 +114,7 @@ def subset_hook_decomposition(p):
         picked = {eligible[b] for b in range(len(eligible)) if mask >> b & 1}
         row = root + [suffix[i] for i in eligible if i in picked]
         col = root + [v for i, v in enumerate(suffix) if i not in picked]
-        if pure.single_row_predicate(rank_pattern(row)) and search_avoids_123_213(col):
+        if _kernels.single_row_predicate(rank_pattern(row)) and search_avoids_123_213(col):
             return True
     return False
 

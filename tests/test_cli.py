@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from schroeder import cli, verify
 from schroeder.cli import main
 
 
@@ -155,6 +156,29 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "suite,depth",
+    [(s, d) for s in sorted(verify.SUITES) for d in (-1, 0, verify.MAX_DEPTH[s] + 1)],
+)
+def test_verify_depth_out_of_range(capsys, suite, depth):
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max", str(depth))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert time.monotonic() - t0 < 1
+
+
+def test_unexpected_error_exits_2(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_classify", crash)
+    code, out, err = run_cli(capsys, "classify", "--perm", "2143")
+    assert code == 2 and out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
 
 
 def test_determinism_byte_identical(capsys):

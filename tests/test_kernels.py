@@ -1,50 +1,60 @@
-"""Agreement between the compiled sweep kernels and the pure-Python twins."""
+"""The S_n sweep kernels against sweeps rebuilt one permutation at a time
+from the public insertion functions and the brute-force oracles."""
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
+from oracles import brute_avoids_123_213
 from schroeder import _kernels
-from schroeder._kernels import pure
-
-compiled = pytest.importorskip(
-    "schroeder._kernels._csweeps", reason="compiled kernel not built"
-)
+from schroeder.insertion import rs_insert, sch_shape
 
 
-def test_backend_reports_selection():
-    assert _kernels.backend() in ("compiled", "pure")
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_per_permutation_kernels_agree(n):
-    for perm in permutations(range(1, n + 1)):
-        assert compiled.sch_rows(perm) == pure.sch_rows(perm)
-        assert compiled.rs_rows(perm) == pure.rs_rows(perm)
-        assert compiled.single_row_predicate(perm) == pure.single_row_predicate(perm)
-        for pat in ((1, 2, 3), (2, 1, 3), (1, 2), (2, 1, 4, 3)):
-            assert compiled.contains_pattern(perm, pat) == pure.contains_pattern(
-                perm, pat
-            )
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_sweeps_agree(n):
-    assert compiled.sweep_row_col(n) == pure.sweep_row_col(n)
-    assert compiled.sweep_rs_shapes(n) == pure.sweep_rs_shapes(n)
-    assert compiled.sweep_sch_shapes(n) == pure.sweep_sch_shapes(n)
-
-
-def test_long_input_delegation():
-    values = tuple(range(1, 60))
-    assert compiled.sch_rows(values) == pure.sch_rows(values)
-    assert compiled.contains_pattern(values, (1, 2, 3)) == pure.contains_pattern(
-        values, (1, 2, 3)
+def _pair_predicate(perm):
+    """Positions 2i+1, 2i+2 hold the values 2i+1, 2i+2 in either order, and
+    an odd-length permutation ends with its maximum."""
+    n = len(perm)
+    pairs_ok = all(
+        {perm[i], perm[i + 1]} == {i + 1, i + 2} for i in range(0, n - 1, 2)
     )
+    return pairs_ok and (n % 2 == 0 or perm[-1] == n)
+
+
+def _rebuilt_row_col(n):
+    row_count = col_count = 0
+    row_mismatches, col_mismatches = [], []
+    for perm in sorted(permutations(range(1, n + 1))):
+        shape = sch_shape(perm)
+        one_row = len(shape) == 1
+        one_column = shape[0] <= 2
+        row_count += one_row
+        col_count += one_column
+        if one_row != _pair_predicate(perm):
+            row_mismatches.append(perm)
+        if one_column != brute_avoids_123_213(perm):
+            col_mismatches.append(perm)
+    return row_count, col_count, row_mismatches, col_mismatches
+
+
+def test_backend_is_pure():
+    assert _kernels.backend() == "pure"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sweep_row_col_matches_per_permutation_rebuild(n):
+    assert _kernels.sweep_row_col(n) == _rebuilt_row_col(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sweep_rs_shapes_matches_rs_insert(n):
+    expected = Counter(
+        tuple(len(row) for row in rs_insert(perm)[0])
+        for perm in permutations(range(1, n + 1))
+    )
+    assert _kernels.sweep_rs_shapes(n) == expected
 
 
 def test_sweep_bounds():
     with pytest.raises(ValueError):
-        compiled.sweep_row_col(0)
-    with pytest.raises(ValueError):
-        pure.sweep_row_col(0)
+        _kernels.sweep_row_col(0)
