@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import _kernels
 from .errors import LimitError
-from .partitions import Partition
+from .partitions import Partition, conjugate
 from .tableaux import SchroderTableau
 
 Permutation = tuple[int, ...]
@@ -76,14 +76,12 @@ def avoids(t: Sequence[int], *patterns: Sequence[int]) -> bool:
     )
 
 
-def enumerate_av(
-    n: int, patterns: Sequence[Sequence[int]], limit: int = AV_LIMIT
-) -> int:
+def enumerate_av(n: int, patterns: Sequence[Sequence[int]]) -> int:
     """Number of permutations of length ``n`` avoiding all ``patterns``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > limit:
-        raise LimitError(f"n={n} exceeds limit {limit}")
+    if n > AV_LIMIT:
+        raise LimitError(f"n={n} exceeds limit {AV_LIMIT}")
     pats = [tuple(s) for s in patterns]
     return sum(
         1
@@ -215,33 +213,12 @@ def is_standard_young(rows: Rows) -> bool:
     return True
 
 
-def enumerate_standard_young(shape: Partition) -> Iterator[Rows]:
-    """Yield the rows of every standard Young tableau of ``shape`` by direct
-    placement of 1..n."""
-    n = sum(shape)
-    filled = [0] * len(shape)
-    rows: list[list[int]] = [[] for _ in shape]
-
-    def rec(value: int) -> Iterator[Rows]:
-        if value > n:
-            yield tuple(tuple(r) for r in rows)
-            return
-        for i in range(len(shape)):
-            p = filled[i] + 1
-            if p > shape[i]:
-                continue
-            if i > 0 and filled[i - 1] < p:
-                continue
-            filled[i] += 1
-            rows[i].append(value)
-            yield from rec(value + 1)
-            filled[i] -= 1
-            rows[i].pop()
-
-    yield from rec(1)
-
-
-@lru_cache(maxsize=None)
 def count_standard_young(shape: Partition) -> int:
-    """Number of standard Young tableaux of ``shape``, by enumeration."""
-    return sum(1 for _ in enumerate_standard_young(shape))
+    """Number of standard Young tableaux of ``shape``, by the hook-length
+    formula n! / prod of hook lengths."""
+    cols = conjugate(shape)
+    hooks = 1
+    for i, length in enumerate(shape):
+        for j in range(length):
+            hooks *= (length - j) + (cols[j] - i) - 1
+    return math.factorial(sum(shape)) // hooks

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .partitions import Partition, partitions_of
-from .posets import FinitePoset, contains_induced, two_plus_two
+from .errors import LimitError
+from .posets import FinitePoset, _embedding, contains_induced, two_plus_two
 from .tableaux import SchroderTableau, is_standard, lonely_cells, twin_pairs
 
 Interval = tuple[int, int]
@@ -70,11 +71,11 @@ def intervals_from_json(data: dict) -> tuple[Interval, ...]:
     return check_intervals(data["intervals"])
 
 
-def grid_downsets(n: int, limit: int = DOWNSET_LIMIT) -> list[Partition]:
+def grid_downsets(n: int) -> list[Partition]:
     """All n-cell down-sets of the grid, as row-length partitions, enumerated
     by decreasing first-row length."""
-    if n > limit:
-        raise ValueError(f"size {n} exceeds limit {limit}")
+    if n > DOWNSET_LIMIT:
+        raise LimitError(f"size {n} exceeds limit {DOWNSET_LIMIT}")
     return list(partitions_of(n))
 
 
@@ -104,41 +105,6 @@ class Witness(NamedTuple):
     mapping: tuple[int, ...]
 
 
-def _downset_embedding(d: Partition, p: FinitePoset) -> tuple[int, ...] | None:
-    """Injective order-preserving map from the cells of ``d`` onto ``p``,
-    found by backtracking over cells in row-major order."""
-    cells = downset_cells(d)
-    assigned: list[int] = []
-    used = [False] * p.n
-
-    def rec(k: int) -> bool:
-        if k == len(cells):
-            return True
-        r, c = cells[k]
-        below = r * c - 1  # cells componentwise below (r, c)
-        for w in range(p.n):
-            if used[w] or p.down[w].bit_count() < below:
-                continue
-            ok = True
-            for t in range(k):
-                r2, c2 = cells[t]
-                if r2 <= r and c2 <= c and not (p.up[assigned[t]] >> w & 1):
-                    ok = False
-                    break
-            if ok:
-                assigned.append(w)
-                used[w] = True
-                if rec(k + 1):
-                    return True
-                assigned.pop()
-                used[w] = False
-        return False
-
-    if rec(0):
-        return tuple(v + 1 for v in assigned)
-    return None
-
-
 def has_schroder_preimage(p: FinitePoset) -> Witness | None:
     """A witness down-set weakly contained in ``p``, or None.
 
@@ -147,9 +113,11 @@ def has_schroder_preimage(p: FinitePoset) -> Witness | None:
     if not is_interval_order(p):
         raise ValueError("poset is not an interval order")
     for d in grid_downsets(p.n):
-        mapping = _downset_embedding(d, p)
-        if mapping is not None:
-            return Witness(d, mapping)
+        # cells in row-major order and increasing host candidates make the
+        # first mapping found the lexicographically smallest one
+        image = _embedding(p, downset_poset(d), induced=False, order=range(p.n))
+        if image is not None:
+            return Witness(d, tuple(w + 1 for w in image))
     return None
 
 
@@ -197,11 +165,9 @@ def tableau_from_witness(
     cells = downset_cells(downset)
     if sorted(mapping) != list(range(1, p.n + 1)) or len(cells) != p.n:
         raise ValueError("mapping must be a bijection from the down-set onto p")
-    for i, (r1, c1) in enumerate(cells):
-        for j, (r2, c2) in enumerate(cells):
-            if (r1, c1) != (r2, c2) and r1 <= r2 and c1 <= c2:
-                if not p.less(mapping[i], mapping[j]):
-                    raise ValueError("mapping is not order-preserving")
+    for i, j in downset_poset(downset).strict_pairs():
+        if not p.less(mapping[i - 1], mapping[j - 1]):
+            raise ValueError("mapping is not order-preserving")
     intervals = realize_intervals(p)
     rows = []
     for r, length in enumerate(downset):

@@ -324,16 +324,28 @@ def is_below(p: FinitePoset, first: Iterable[int], second: Iterable[int]) -> boo
 # ---------------------------------------------------------------------------
 # pattern containment
 
-def _embedding_exists(host: FinitePoset, pat: FinitePoset, induced: bool) -> bool:
+def _embedding(
+    host: FinitePoset,
+    pat: FinitePoset,
+    induced: bool,
+    order: Sequence[int] | None = None,
+) -> tuple[int, ...] | None:
+    """The first injective order-preserving map from ``pat`` into ``host``
+    (order-reflecting too when ``induced``), as the host vertices of the
+    pattern vertices 0..pat.n-1, or None.
+
+    Pattern vertices are assigned in ``order``, by default most relations
+    first, and each one tries host vertices in increasing order, so with
+    ``order=range(pat.n)`` the result is the lexicographically smallest map.
+    """
     if pat.n > host.n:
-        return False
-    if pat.n == 0:
-        return True
-    order = sorted(
-        range(pat.n),
-        key=lambda v: -(pat.up[v].bit_count() + pat.down[v].bit_count()),
-    )
-    image = [0] * pat.n  # image[k] = host vertex assigned to order[k]
+        return None
+    if order is None:
+        order = sorted(
+            range(pat.n),
+            key=lambda v: -(pat.up[v].bit_count() + pat.down[v].bit_count()),
+        )
+    image = [0] * pat.n  # image[v] = host vertex assigned to pattern vertex v
     used = [False] * host.n
 
     def feasible(v: int, w: int) -> bool:
@@ -353,7 +365,7 @@ def _embedding_exists(host: FinitePoset, pat: FinitePoset, induced: bool) -> boo
             ok = True
             for t in range(k):
                 u = order[t]
-                x = image[t]
+                x = image[u]
                 pat_uv = pat.up[u] >> v & 1
                 pat_vu = pat.up[v] >> u & 1
                 host_xw = host.up[x] >> w & 1
@@ -367,25 +379,24 @@ def _embedding_exists(host: FinitePoset, pat: FinitePoset, induced: bool) -> boo
                 if not ok:
                     break
             if ok:
-                image[k] = w
+                image[v] = w
                 used[w] = True
                 if rec(k + 1):
-                    used[w] = False
                     return True
                 used[w] = False
         return False
 
-    return rec(0)
+    return tuple(image) if rec(0) else None
 
 
 def contains_induced(q: FinitePoset, p: FinitePoset) -> bool:
     """True iff ``p`` embeds into ``q`` order-preservingly and order-reflectingly."""
-    return _embedding_exists(q, p, induced=True)
+    return _embedding(q, p, induced=True) is not None
 
 
 def weakly_contains(q: FinitePoset, p: FinitePoset) -> bool:
     """True iff an injective order-preserving map p -> q exists."""
-    return _embedding_exists(q, p, induced=False)
+    return _embedding(q, p, induced=False) is not None
 
 
 def strongly_avoids(q: FinitePoset, p: FinitePoset) -> bool:
@@ -396,15 +407,13 @@ def strongly_avoids(q: FinitePoset, p: FinitePoset) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
-@lru_cache(maxsize=None)
-def _labeled_masks(n: int) -> tuple[Masks, ...]:
-    if n == 0:
-        return ((),)
-    result = []
+def _extensions(smaller_masks: Iterable[Masks], n: int) -> Iterator[Masks]:
+    """Every poset on n elements whose first n-1 elements induce one of
+    ``smaller_masks``: the new element goes above a down-set and below an
+    up-set, with everything below it below everything above it."""
     bit_new = 1 << (n - 1)
-    for smaller in _labeled_masks(n - 1):
-        up = list(smaller)
-        down = _down_masks(n - 1, smaller)
+    for up in smaller_masks:
+        down = _down_masks(n - 1, up)
         subsets = range(1 << (n - 1))
         ideals = [s for s in subsets if all(down[v] & ~s == 0 for v in _bits(s))]
         filters = [s for s in subsets if all(up[v] & ~s == 0 for v in _bits(s))]
@@ -416,54 +425,39 @@ def _labeled_masks(n: int) -> tuple[Masks, ...]:
                     continue
                 new_up = [up[v] | (bit_new if d >> v & 1 else 0) for v in range(n - 1)]
                 new_up.append(u)
-                result.append(tuple(new_up))
-    return tuple(result)
+                yield tuple(new_up)
+
+
+@lru_cache(maxsize=None)
+def _labeled_masks(n: int) -> tuple[Masks, ...]:
+    if n == 0:
+        return ((),)
+    return tuple(_extensions(_labeled_masks(n - 1), n))
 
 
 @lru_cache(maxsize=None)
 def _unlabeled_masks(n: int) -> tuple[Masks, ...]:
     if n == 0:
         return ((),)
-    seen: set[Masks] = set()
-    bit_new = 1 << (n - 1)
-    for smaller in _unlabeled_masks(n - 1):
-        up = list(smaller)
-        down = _down_masks(n - 1, smaller)
-        subsets = range(1 << (n - 1))
-        ideals = [s for s in subsets if all(down[v] & ~s == 0 for v in _bits(s))]
-        filters = [s for s in subsets if all(up[v] & ~s == 0 for v in _bits(s))]
-        for d in ideals:
-            for u in filters:
-                if d & u:
-                    continue
-                if any(u & ~up[v] for v in _bits(d)):
-                    continue
-                new_up = [up[v] | (bit_new if d >> v & 1 else 0) for v in range(n - 1)]
-                new_up.append(u)
-                seen.add(_canonical_masks(n, tuple(new_up)))
-    return tuple(sorted(seen))
+    extended = _extensions(_unlabeled_masks(n - 1), n)
+    return tuple(sorted({_canonical_masks(n, up) for up in extended}))
 
 
-def enumerate_posets(
-    n: int, labeled: bool = True, limit: int = SIZE_LIMIT
-) -> list[FinitePoset]:
+def enumerate_posets(n: int, labeled: bool = True) -> list[FinitePoset]:
     """All posets on 1..n (labeled) or one canonical representative per
     isomorphism class (unlabeled), in a fixed deterministic order."""
     if n < 0:
         raise ValueError("size must be >= 0")
-    if n > limit:
-        raise LimitError(f"size {n} exceeds limit {limit}")
+    if n > SIZE_LIMIT:
+        raise LimitError(f"size {n} exceeds limit {SIZE_LIMIT}")
     masks = _labeled_masks(n) if labeled else _unlabeled_masks(n)
     return [FinitePoset._from_masks(n, up) for up in masks]
 
 
-def upset_in_Xn(p: FinitePoset, limit: int = SIZE_LIMIT) -> list[FinitePoset]:
+def upset_in_Xn(p: FinitePoset) -> list[FinitePoset]:
     """The size-|p| unlabeled posets weakly containing ``p`` (canonical
     representatives, deterministic order)."""
-    if p.n > limit:
-        raise LimitError(f"size {p.n} exceeds limit {limit}")
-    return [q for q in enumerate_posets(p.n, labeled=False, limit=limit)
-            if weakly_contains(q, p)]
+    return [q for q in enumerate_posets(p.n, labeled=False) if weakly_contains(q, p)]
 
 
 @dataclass(frozen=True)
@@ -495,10 +489,8 @@ class WeakPatternPoset:
         return sum(self.leq[j][i] for j in range(len(self.elements)))
 
 
-def build_weak_pattern_poset(n: int, limit: int = SIZE_LIMIT) -> WeakPatternPoset:
-    if n > limit:
-        raise LimitError(f"size {n} exceeds limit {limit}")
-    elements = tuple(enumerate_posets(n, labeled=False, limit=limit))
+def build_weak_pattern_poset(n: int) -> WeakPatternPoset:
+    elements = tuple(enumerate_posets(n, labeled=False))
     k = len(elements)
     leq = [[False] * k for _ in range(k)]
     for i in range(k):
@@ -523,12 +515,10 @@ def build_weak_pattern_poset(n: int, limit: int = SIZE_LIMIT) -> WeakPatternPose
     )
 
 
-def sav_count(
-    n: int, pattern: FinitePoset, labeled: bool = True, limit: int = SIZE_LIMIT
-) -> int:
+def sav_count(n: int, pattern: FinitePoset, labeled: bool = True) -> int:
     """Number of size-n posets in the chosen mode strongly avoiding ``pattern``."""
     return sum(
         1
-        for q in enumerate_posets(n, labeled=labeled, limit=limit)
+        for q in enumerate_posets(n, labeled=labeled)
         if strongly_avoids(q, pattern)
     )

@@ -128,23 +128,21 @@ def _placements(shape: Partition) -> Iterator[Rows]:
     yield from rec(1)
 
 
-def enumerate_tableaux(
-    shape: Partition, limit: int = ORDER_LIMIT
-) -> list[SchroderTableau]:
+def enumerate_tableaux(shape: Partition) -> list[SchroderTableau]:
     """All standard tableaux of ``shape`` in lexicographic order of the
     row-concatenated entries."""
     shape = check_schroeder(shape)
-    if order(shape) > limit:
-        raise LimitError(f"order {order(shape)} exceeds limit {limit}")
+    if order(shape) > ORDER_LIMIT:
+        raise LimitError(f"order {order(shape)} exceeds limit {ORDER_LIMIT}")
     fillings = sorted(_placements(shape), key=lambda rows: sum(rows, ()))
     return [SchroderTableau(shape, rows) for rows in fillings]
 
 
-def count_tableaux(shape: Partition, limit: int = ORDER_LIMIT) -> int:
+def count_tableaux(shape: Partition) -> int:
     """Number of standard tableaux of ``shape``."""
     shape = check_schroeder(shape)
-    if order(shape) > limit:
-        raise LimitError(f"order {order(shape)} exceeds limit {limit}")
+    if order(shape) > ORDER_LIMIT:
+        raise LimitError(f"order {order(shape)} exceeds limit {ORDER_LIMIT}")
     return sum(1 for _ in _placements(shape))
 
 

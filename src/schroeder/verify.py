@@ -70,9 +70,10 @@ def _bell_numbers(count: int) -> list[int]:
     return bells
 
 
-def run_counts(max_n: int = 9, gf_max: int = 40, c2_max: int = 20, **_) -> VerifyReport:
+def run_counts(max_n: int = 9, gf_max: int = 40, c2_max: int = 20) -> VerifyReport:
     """Single-row/single-column counts and sets, the generating function
     against enumeration, and the double-cluster fixed points."""
+    _check_depth("counts", max_n)
     t0 = time.time()
     report = VerifyReport("counts", {"max": max_n, "gf_max": gf_max, "c2_max": c2_max})
 
@@ -129,9 +130,10 @@ def run_counts(max_n: int = 9, gf_max: int = 40, c2_max: int = 20, **_) -> Verif
     return report
 
 
-def run_differential(max_order: int = 18, **_) -> VerifyReport:
+def run_differential(max_order: int = 18) -> VerifyReport:
     """Cover-degree bounds, the common-cover condition, and attainment of
     both bounds."""
+    _check_depth("differential", max_order)
     t0 = time.time()
     report = VerifyReport("differential", {"max": max_order})
     result = lattice.verify_differential(max_order)
@@ -161,10 +163,11 @@ def run_differential(max_order: int = 18, **_) -> VerifyReport:
     return report
 
 
-def run_rsk(max_n: int = 8, **_) -> VerifyReport:
+def run_rsk(max_n: int = 8) -> VerifyReport:
     """The worked insertion example, the squared-count identity for classical
     insertion, empirical validity of the triangular insertion, and the hook
     certification."""
+    _check_depth("rsk", max_n)
     t0 = time.time()
     report = VerifyReport("rsk", {"max": max_n})
 
@@ -248,11 +251,11 @@ def run_lattice(
     seed: int = 0,
     chains_max: int = 10,
     covers_max: int = 14,
-    **_,
 ) -> VerifyReport:
     """Join/meet closure, distributive-lattice laws on seeded random triples,
     covers against the one-cell-edit definition, and chain counts against
     tableau counts."""
+    _check_depth("lattice", max_order)
     t0 = time.time()
     report = VerifyReport(
         "lattice",
@@ -316,9 +319,10 @@ def run_lattice(
     return report
 
 
-def run_sav(max_size: int = 6, **_) -> VerifyReport:
+def run_sav(max_size: int = 6) -> VerifyReport:
     """Weak-pattern poset structure, strong-avoidance characterizations, the
     up-set reduction, and the union/sum/connectedness laws."""
+    _check_depth("sav", max_size)
     t0 = time.time()
     report = VerifyReport("sav", {"max": max_size})
 
@@ -503,9 +507,10 @@ def _subsets(items):
         yield [items[i] for i in range(n) if mask >> i & 1]
 
 
-def run_interval_theorem(max_size: int = 5, tableau_max: int = 9, **_) -> VerifyReport:
+def run_interval_theorem(max_size: int = 5, tableau_max: int = 9) -> VerifyReport:
     """The tableau-preimage decision against exhaustive search, the worked
     interval set, and lonely-cell-freeness of constructed witnesses."""
+    _check_depth("interval-theorem", max_size)
     t0 = time.time()
     report = VerifyReport(
         "interval-theorem", {"max": max_size, "tableau_max": tableau_max}
@@ -601,23 +606,18 @@ MAX_DEPTH = {
 }
 
 
+def _check_depth(suite: str, depth: int) -> None:
+    if depth < 1:
+        raise ValueError(f"suite {suite} depth must be >= 1, got {depth}")
+    if depth > MAX_DEPTH[suite]:
+        raise LimitError(f"suite {suite} depth {depth} exceeds limit {MAX_DEPTH[suite]}")
+
+
 def run_suite(name: str, max_size: int | None = None, seed: int = 0) -> VerifyReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     size = DEFAULT_MAX[name] if max_size is None else max_size
-    if size < 1:
-        raise ValueError(f"suite {name} depth must be >= 1, got {size}")
-    if size > MAX_DEPTH[name]:
-        raise LimitError(f"suite {name} depth {size} exceeds limit {MAX_DEPTH[name]}")
     runner = SUITES[name]
-    if name == "counts":
-        return runner(max_n=size)
-    if name == "differential":
-        return runner(max_order=size)
-    if name == "rsk":
-        return runner(max_n=size)
     if name == "lattice":
-        return runner(max_order=size, seed=seed)
-    if name == "sav":
-        return runner(max_size=size)
-    return runner(max_size=size)
+        return runner(size, seed=seed)
+    return runner(size)

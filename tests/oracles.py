@@ -153,6 +153,27 @@ def brute_contains_induced(host, pat):
     return False
 
 
+def brute_first_witness(p):
+    """The first (down-set, mapping) for a poset ``p``: down-sets with p.n
+    cells in lexicographically decreasing order of their row lengths, and
+    for each the first permutation of 1..n, in lexicographic order, that
+    maps the row-major cells order-preservingly into ``p``; None when no
+    down-set embeds."""
+    n = p.n
+    for d in sorted(partitions_by_smallest_part(n), reverse=True):
+        cells = [(r, c) for r, length in enumerate(d) for c in range(length)]
+        below = [
+            (i, j)
+            for i, (r1, c1) in enumerate(cells)
+            for j, (r2, c2) in enumerate(cells)
+            if i != j and r1 <= r2 and c1 <= c2
+        ]
+        for image in permutations(range(1, n + 1)):
+            if all(p.less(image[i], image[j]) for i, j in below):
+                return d, image
+    return None
+
+
 def bell_by_binomial(n):
     """Bell numbers via B_{k+1} = sum_j C(k, j) B_j, independent of the triangle."""
     from math import comb

@@ -5,6 +5,7 @@ import pytest
 
 from schroeder import cli, verify
 from schroeder.cli import main
+from schroeder.partitions import ENUMERATION_LIMIT, GF_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +135,38 @@ def test_intervals_commands(tmp_path, capsys):
     data = json.loads(out)
     assert data["witness"]["downset"] == [2]
     assert data["tableau"]["rows"] == [[1, 2, 3, 4]]
+
+
+def test_preimage_answers_in_bounded_time(tmp_path, capsys):
+    # 14 intervals with no preimage; a down-set search without up-degree
+    # pruning took about 10 s to refute every down-set
+    ivs = tmp_path / "i.json"
+    ivs.write_text(json.dumps({"intervals": [
+        [2, 5], [1, 4], [3, 7], [6, 10], [8, 9], [11, 13], [12, 16],
+        [15, 17], [14, 20], [18, 21], [19, 23], [22, 24], [25, 26], [27, 28],
+    ]}))
+    t0 = time.monotonic()
+    code, out, _ = run_cli(capsys, "intervals", "preimage", str(ivs))
+    assert code == 0 and out == "none\n"
+    assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (("--order", str(ENUMERATION_LIMIT + 1)), ENUMERATION_LIMIT),
+        (("--order", "1000", "--count"), ENUMERATION_LIMIT),
+        (("--gf", str(GF_LIMIT + 1)), GF_LIMIT),
+        (("--gf", "1000000000"), GF_LIMIT),
+    ],
+)
+def test_partitions_limits(capsys, argv, limit):
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "partitions", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"limit {limit}" in err
+    assert "Traceback" not in err
+    assert time.monotonic() - t0 < 1
 
 
 def test_verify_exit_codes(capsys):

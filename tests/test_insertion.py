@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_fillings,
     brute_avoids_123_213,
     brute_contains_pattern,
     subset_hook_decomposition,
@@ -92,6 +93,15 @@ def test_rs_identity_small():
         for i in range(2, n + 1):
             fact *= i
         assert total == fact
+
+
+def test_standard_young_count_matches_fillings():
+    from schroeder.partitions import partitions_of
+
+    for n in range(8):
+        for shape in partitions_of(n):
+            standard = sum(1 for rows in all_fillings(shape) if is_standard_young(rows))
+            assert count_standard_young(shape) == standard, shape
 
 
 def test_rs_injective_small():

@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_first_witness
+from schroeder.errors import LimitError
 from schroeder.intervals import (
+    DOWNSET_LIMIT,
     downset_cells,
     downset_poset,
     grid_downsets,
@@ -76,6 +79,8 @@ def test_grid_downsets():
     assert downset_cells((2, 1)) == [(1, 1), (1, 2), (2, 1)]
     p = downset_poset((2, 1))
     assert p.strict_pairs() == ((1, 2), (1, 3))
+    with pytest.raises(LimitError):
+        grid_downsets(DOWNSET_LIMIT + 1)
 
 
 def test_preimage_examples():
@@ -86,6 +91,19 @@ def test_preimage_examples():
         has_schroder_preimage(two_plus_two())
     po = interval_order(intervals_of_tableau(paper_tableau()))
     assert has_schroder_preimage(po) is not None
+
+
+def test_preimage_witness_is_the_first_mapping():
+    # the printed witness is the first down-set that embeds, with the
+    # lexicographically smallest mapping of its row-major cells
+    orders = [p for n in range(5) for p in enumerate_posets(n, labeled=True)]
+    orders += [p for n in (5, 6) for p in enumerate_posets(n, labeled=False)]
+    orders = [p for p in orders if is_interval_order(p)]
+    assert len(orders) == 501
+    for p in orders:
+        witness = has_schroder_preimage(p)
+        found = None if witness is None else (witness.downset, witness.mapping)
+        assert found == brute_first_witness(p), p
 
 
 def test_tableau_from_witness_examples():

@@ -87,7 +87,7 @@ def test_enumeration_distinct_and_ordered():
 
 def test_order_limit():
     with pytest.raises(LimitError):
-        enumerate_tableaux((20, 18, 16, 14), limit=10)
+        enumerate_tableaux((20, 18, 16, 14))
 
 
 def test_chain_round_trip_exhaustive():

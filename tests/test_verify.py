@@ -1,6 +1,7 @@
 import pytest
 
 from schroeder import verify
+from schroeder.errors import LimitError
 
 
 def test_counts_suite_clean():
@@ -56,6 +57,14 @@ def test_run_suite_dispatch():
     assert report.suite == "counts" and report.ok
     with pytest.raises(ValueError):
         verify.run_suite("nope")
+
+
+def test_runners_bound_their_depth():
+    # direct library calls are held to the same depths as the CLI
+    with pytest.raises(ValueError):
+        verify.run_lattice(max_order=-1)
+    with pytest.raises(LimitError):
+        verify.run_counts(max_n=11)
 
 
 def test_bell_oracle_matches_independent_recurrence():
