@@ -37,10 +37,7 @@ def _emit(obj: dict, fmt: str, ascii_text: str) -> None:
 def _cmd_partitions(args) -> int:
     if args.gf is not None:
         coeffs = gf_coefficients(args.gf)
-        if args.format == "json":
-            print(json.dumps({"coefficients": coeffs}, sort_keys=True))
-        else:
-            print(" ".join(map(str, coeffs)))
+        _emit({"coefficients": coeffs}, args.format, " ".join(map(str, coeffs)))
         return EXIT_OK
     if args.order is None:
         raise ValueError("--order (or --gf) is required")
@@ -55,16 +52,12 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_tableaux(args) -> int:
     shape = parse_partition(args.shape)
-    if args.count or not args.list:
+    if not args.list:
         n = tableaux.count_tableaux(shape)
         _emit({"shape": list(shape), "count": n}, args.format, str(n))
         return EXIT_OK
     for t in tableaux.enumerate_tableaux(shape):
-        if args.format == "json":
-            print(json.dumps(tableaux.tableau_to_json(t), sort_keys=True))
-        else:
-            print(tableaux.render(t))
-            print()
+        _emit(tableaux.tableau_to_json(t), args.format, tableaux.render(t) + "\n")
     return EXIT_OK
 
 
@@ -80,25 +73,15 @@ def _cmd_insert(args) -> int:
         ascii_text = "P: " + " / ".join(
             ",".join(map(str, r)) for r in p_rows
         ) + "\nQ: " + " / ".join(",".join(map(str, r)) for r in q_rows)
-        _emit(obj, args.format, ascii_text)
-        return EXIT_OK
-    p_tab, q_tab = insertion.sch_insert(perm)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "perm": list(perm),
-                    "P": tableaux.tableau_to_json(p_tab),
-                    "Q": tableaux.tableau_to_json(q_tab),
-                },
-                sort_keys=True,
-            )
-        )
     else:
-        print("P:")
-        print(tableaux.render(p_tab))
-        print("Q:")
-        print(tableaux.render(q_tab))
+        p_tab, q_tab = insertion.sch_insert(perm)
+        obj = {
+            "perm": list(perm),
+            "P": tableaux.tableau_to_json(p_tab),
+            "Q": tableaux.tableau_to_json(q_tab),
+        }
+        ascii_text = f"P:\n{tableaux.render(p_tab)}\nQ:\n{tableaux.render(q_tab)}"
+    _emit(obj, args.format, ascii_text)
     return EXIT_OK
 
 
@@ -113,22 +96,18 @@ def _cmd_lattice(args) -> int:
     shape = parse_partition(args.shape)
     if args.lattice_cmd == "covers":
         cs = lattice.covers(shape)
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "shape": list(shape),
-                        "up": [list(u) for u in cs.up_covers],
-                        "down": [list(d) for d in cs.down_covers],
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            for u in cs.up_covers:
-                print(f"up {format_partition(u)}")
-            for d in cs.down_covers:
-                print(f"down {format_partition(d)}")
+        _emit(
+            {
+                "shape": list(shape),
+                "up": [list(u) for u in cs.up_covers],
+                "down": [list(d) for d in cs.down_covers],
+            },
+            args.format,
+            "\n".join(
+                [f"up {format_partition(u)}" for u in cs.up_covers]
+                + [f"down {format_partition(d)}" for d in cs.down_covers]
+            ),
+        )
         return EXIT_OK
     n = lattice.count_chains(shape)
     _emit({"shape": list(shape), "chains": n}, args.format, str(n))
@@ -143,16 +122,14 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"cannot read JSON file {path}: {exc}") from exc
 
 
+def _relations(p: posets.FinitePoset) -> str:
+    return " ".join(f"{i}<{j}" for i, j in p.strict_pairs()) or "-"
+
+
 def _cmd_posets(args) -> int:
     if args.posets_cmd == "enumerate":
-        labeled = not args.unlabeled
-        for p in posets.enumerate_posets(args.size, labeled=labeled):
-            _emit(
-                posets.poset_to_json(p),
-                args.format,
-                f"{p.n}: "
-                + (" ".join(f"{i}<{j}" for i, j in p.strict_pairs()) or "-"),
-            )
+        for p in posets.enumerate_posets(args.size, labeled=not args.unlabeled):
+            _emit(posets.poset_to_json(p), args.format, f"{p.n}: {_relations(p)}")
         return EXIT_OK
     if args.posets_cmd == "sav":
         pattern = posets.poset_from_json(_load_json(args.pattern))
@@ -173,22 +150,18 @@ def _cmd_posets(args) -> int:
             print(f"  p{i} -> p{j};")
         print("}")
         return EXIT_OK
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "size": args.size,
-                    "elements": [posets.poset_to_json(e) for e in xp.elements],
-                    "hasse_edges": [list(e) for e in xp.hasse_edges],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for i, e in enumerate(xp.elements):
-            print(f"{i}: " + (" ".join(f"{a}<{b}" for a, b in e.strict_pairs()) or "-"))
-        for i, j in xp.hasse_edges:
-            print(f"{i} -> {j}")
+    _emit(
+        {
+            "size": args.size,
+            "elements": [posets.poset_to_json(e) for e in xp.elements],
+            "hasse_edges": [list(e) for e in xp.hasse_edges],
+        },
+        args.format,
+        "\n".join(
+            [f"{i}: {_relations(e)}" for i, e in enumerate(xp.elements)]
+            + [f"{i} -> {j}" for i, j in xp.hasse_edges]
+        ),
+    )
     return EXIT_OK
 
 
@@ -209,45 +182,36 @@ def _cmd_intervals(args) -> int:
         _emit({"witness": None}, args.format, "none")
         return EXIT_OK
     built = intervals.tableau_from_witness(order, witness.downset, witness.mapping)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "witness": {
-                        "downset": list(witness.downset),
-                        "mapping": list(witness.mapping),
-                    },
-                    "tableau": tableaux.tableau_to_json(built),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"downset {format_partition(witness.downset)}")
-        print("mapping " + ",".join(map(str, witness.mapping)))
-        print(tableaux.render(built))
+    _emit(
+        {
+            "witness": {
+                "downset": list(witness.downset),
+                "mapping": list(witness.mapping),
+            },
+            "tableau": tableaux.tableau_to_json(built),
+        },
+        args.format,
+        f"downset {format_partition(witness.downset)}\n"
+        f"mapping {','.join(map(str, witness.mapping))}\n"
+        + tableaux.render(built),
+    )
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, max_size=args.max, seed=args.seed)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": report.suite,
-                    "params": report.params,
-                    "checks": report.checks,
-                    "violations": [list(v) for v in report.violations],
-                    "findings": report.findings,
-                    "ok": report.ok,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for line in report.summary_lines():
-            print(line)
+    _emit(
+        {
+            "suite": report.suite,
+            "params": report.params,
+            "checks": report.checks,
+            "violations": [list(v) for v in report.violations],
+            "findings": report.findings,
+            "ok": report.ok,
+        },
+        args.format,
+        "\n".join(report.summary_lines()),
+    )
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -258,6 +222,13 @@ def _common_flags(sub_parser: argparse.ArgumentParser) -> None:
     )
     sub_parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     sub_parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+
+
+def _labeling_flags(sub_parser: argparse.ArgumentParser) -> None:
+    # labeled is the default; --labeled only says so
+    group = sub_parser.add_mutually_exclusive_group()
+    group.add_argument("--labeled", action="store_true")
+    group.add_argument("--unlabeled", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tableaux", help="count or list standard tableaux of a shape")
     p.add_argument("--shape", required=True)
-    p.add_argument("--count", action="store_true")
-    p.add_argument("--list", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--count", action="store_true", help="print the count (default)")
+    mode.add_argument("--list", action="store_true")
     _common_flags(p)
     p.set_defaults(func=_cmd_tableaux)
 
@@ -314,15 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     pos = p.add_subparsers(dest="posets_cmd", required=True)
     c = pos.add_parser("enumerate")
     c.add_argument("--size", type=int, required=True)
-    c.add_argument("--unlabeled", action="store_true")
-    c.add_argument("--labeled", action="store_true")
+    _labeling_flags(c)
     _common_flags(c)
     c.set_defaults(func=_cmd_posets)
     c = pos.add_parser("sav")
     c.add_argument("--size", type=int, required=True)
     c.add_argument("--pattern", required=True, help="poset JSON file")
-    c.add_argument("--unlabeled", action="store_true")
-    c.add_argument("--labeled", action="store_true")
+    _labeling_flags(c)
     _common_flags(c)
     c.set_defaults(func=_cmd_posets)
     c = pos.add_parser("xn", help="the weak-containment poset of all size-n posets")

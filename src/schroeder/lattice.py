@@ -22,8 +22,10 @@ from .partitions import Partition, check_schroeder, is_schroeder, order
 # The memo holds every valid partition inside the shape, which grows like
 # exp(c * sqrt(order)); the worst shape found at order 64,
 # (18, 12, 10, 8, 6, 4, 2, 2, 2), has 69,473 of them and takes about 2.4 s
-# on a 2-core host with a cold memo.
+# on a 2-core host with a cold memo.  The memo is bounded above that count,
+# so one query never evicts its own entries.
 CHAIN_ORDER_LIMIT = 64
+CHAIN_MEMO_SIZE = 1 << 17
 
 
 class CoverSets(NamedTuple):
@@ -107,7 +109,7 @@ def covers(p: Partition) -> CoverSets:
     return CoverSets(tuple(ups), tuple(downs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def count_chains(p: Partition) -> int:
     """Number of saturated chains from the empty partition up to ``p``, for
     orders up to CHAIN_ORDER_LIMIT."""
@@ -123,13 +125,11 @@ def count_chains(p: Partition) -> int:
 class DifferentialReport:
     """Outcome of sweeping the cover-degree bounds and the common-cover condition."""
 
-    max_order: int
     partitions_checked: int = 0
     pairs_checked: int = 0
     violations: list[str] = field(default_factory=list)
     lower_bound_witness: Partition | None = None
     upper_bound_witness: Partition | None = None
-    min_slack_low: int | None = None
     min_slack_high: int | None = None
 
     @property
@@ -147,7 +147,7 @@ def verify_differential(max_order: int) -> DifferentialReport:
 
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    report = DifferentialReport(max_order=max_order)
+    report = DifferentialReport()
     for n in range(1, max_order + 1):
         layer = enumerate_schroeder_partitions(n)
         layer_covers = {p: covers(p) for p in layer}
@@ -157,11 +157,8 @@ def verify_differential(max_order: int) -> DifferentialReport:
             low = (k + 2) // 2  # ceil((k+1)/2)
             high = 2 * k
             report.partitions_checked += 1
-            slack_low = l - low
             slack_high = high - l
-            if report.min_slack_low is None or slack_low < report.min_slack_low:
-                report.min_slack_low = slack_low
-            if slack_low == 0 and report.lower_bound_witness is None:
+            if l == low and report.lower_bound_witness is None:
                 report.lower_bound_witness = p
             if report.min_slack_high is None or slack_high < report.min_slack_high:
                 report.min_slack_high = slack_high

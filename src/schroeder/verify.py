@@ -8,8 +8,9 @@ outcomes of empirical certifications that are reported but never fatal.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import permutations as _perms
 
@@ -24,6 +25,14 @@ from .partitions import (
     satisfies_cn_condition,
 )
 
+# the fixed parts of the suites; only each suite's depth is an argument
+GF_MAX = 40  # counts: generating-function orders checked against enumeration
+C2_MAX = 20  # counts: partition orders of the double-cluster fixed points
+TRIPLES = 10000  # lattice: seeded random triples for the lattice laws
+COVERS_MAX = 14  # lattice: orders whose covers meet the one-cell edits
+CHAINS_MAX = 10  # lattice: orders whose chain counts meet the tableau counts
+TABLEAU_MAX = 9  # interval-theorem: tableau orders whose interval orders are checked
+
 
 @dataclass
 class VerifyReport:
@@ -32,7 +41,6 @@ class VerifyReport:
     checks: int = 0
     violations: list[tuple[str, str]] = field(default_factory=list)
     findings: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -44,8 +52,6 @@ class VerifyReport:
             self.violations.append((claim, witness))
 
     def summary_lines(self) -> list[str]:
-        # wall time is kept on the report object but stays out of the printed
-        # summary so that repeated runs are byte-identical
         lines = [
             f"suite={self.suite} checks={self.checks} "
             f"violations={len(self.violations)}"
@@ -70,12 +76,11 @@ def _bell_numbers(count: int) -> list[int]:
     return bells
 
 
-def run_counts(max_n: int = 9, gf_max: int = 40, c2_max: int = 20) -> VerifyReport:
+def run_counts(max_n: int = 9) -> VerifyReport:
     """Single-row/single-column counts and sets, the generating function
     against enumeration, and the double-cluster fixed points."""
     _check_depth("counts", max_n)
-    t0 = time.time()
-    report = VerifyReport("counts", {"max": max_n, "gf_max": gf_max, "c2_max": c2_max})
+    report = VerifyReport("counts", {"max": max_n, "gf_max": GF_MAX, "c2_max": C2_MAX})
 
     for n in range(1, max_n + 1):
         rows, cols, row_mism, col_mism = _kernels.sweep_row_col(n)
@@ -100,15 +105,15 @@ def run_counts(max_n: int = 9, gf_max: int = 40, c2_max: int = 20) -> VerifyRepo
             f"{len(col_mism)} mismatches, first {col_mism[:3]}",
         )
 
-    coeffs = gf_coefficients(gf_max)
-    for k in range(gf_max + 1):
+    coeffs = gf_coefficients(GF_MAX)
+    for k in range(GF_MAX + 1):
         report.check(
             f"gf coefficient equals enumeration at order {k}",
             coeffs[k] == len(enumerate_schroeder_partitions(k)),
             f"gf={coeffs[k]}",
         )
 
-    for order_n in range(c2_max + 1):
+    for order_n in range(C2_MAX + 1):
         for p in partitions_of(order_n):
             fixed = cluster_map(cluster_map(p, 2), 2) == p
             report.check(
@@ -117,7 +122,7 @@ def run_counts(max_n: int = 9, gf_max: int = 40, c2_max: int = 20) -> VerifyRepo
                 str(p),
             )
     for n in range(1, 5):
-        for order_n in range(c2_max + 1):
+        for order_n in range(C2_MAX + 1):
             for p in partitions_of(order_n):
                 fixed = cluster_map(cluster_map(p, n), n) == p
                 report.check(
@@ -126,7 +131,6 @@ def run_counts(max_n: int = 9, gf_max: int = 40, c2_max: int = 20) -> VerifyRepo
                     str(p),
                 )
 
-    report.elapsed = time.time() - t0
     return report
 
 
@@ -134,7 +138,6 @@ def run_differential(max_order: int = 18) -> VerifyReport:
     """Cover-degree bounds, the common-cover condition, and attainment of
     both bounds."""
     _check_depth("differential", max_order)
-    t0 = time.time()
     report = VerifyReport("differential", {"max": max_order})
     result = lattice.verify_differential(max_order)
     report.checks += result.partitions_checked + result.pairs_checked
@@ -159,7 +162,6 @@ def run_differential(max_order: int = 18) -> VerifyReport:
             "every up-degree in range satisfies the corrected bound l <= 2k+1; "
             "stacked blocks (2a, 2a-1) attain it"
         )
-    report.elapsed = time.time() - t0
     return report
 
 
@@ -168,7 +170,6 @@ def run_rsk(max_n: int = 8) -> VerifyReport:
     insertion, empirical validity of the triangular insertion, and the hook
     certification."""
     _check_depth("rsk", max_n)
-    t0 = time.time()
     report = VerifyReport("rsk", {"max": max_n})
 
     p_tab, q_tab = insertion.sch_insert(insertion.parse_permutation("465193287"))
@@ -185,9 +186,6 @@ def run_rsk(max_n: int = 8) -> VerifyReport:
 
     for n in range(1, min(max_n, 7) + 1):
         shape_counts = _kernels.sweep_rs_shapes(n)
-        factorial = 1
-        for i in range(2, n + 1):
-            factorial *= i
         total = 0
         for shape in partitions_of(n):
             f = insertion.count_standard_young(shape)
@@ -198,7 +196,9 @@ def run_rsk(max_n: int = 8) -> VerifyReport:
                 f"shape {shape}: swept {shape_counts.get(shape, 0)}, tableau count {f}",
             )
         report.check(
-            f"sum of squared tableau counts is {n}! at n={n}", total == factorial, ""
+            f"sum of squared tableau counts is {n}! at n={n}",
+            total == math.factorial(n),
+            "",
         )
 
     sch_max = min(max_n, 8)
@@ -241,26 +241,15 @@ def run_rsk(max_n: int = 8) -> VerifyReport:
     else:
         report.findings.append(f"hook certification clean for all n <= {sch_max}")
 
-    report.elapsed = time.time() - t0
     return report
 
 
-def run_lattice(
-    max_order: int = 15,
-    triples: int = 10000,
-    seed: int = 0,
-    chains_max: int = 10,
-    covers_max: int = 14,
-) -> VerifyReport:
+def run_lattice(max_order: int = 15, seed: int = 0) -> VerifyReport:
     """Join/meet closure, distributive-lattice laws on seeded random triples,
     covers against the one-cell-edit definition, and chain counts against
     tableau counts."""
     _check_depth("lattice", max_order)
-    t0 = time.time()
-    report = VerifyReport(
-        "lattice",
-        {"max": max_order, "triples": triples, "seed": seed},
-    )
+    report = VerifyReport("lattice", {"max": max_order, "triples": TRIPLES, "seed": seed})
     universe = [
         p for n in range(max_order + 1) for p in enumerate_schroeder_partitions(n)
     ]
@@ -278,7 +267,7 @@ def run_lattice(
             )
 
     rng = random.Random(seed)
-    for _ in range(triples):
+    for _ in range(TRIPLES):
         a, b, c = (rng.choice(universe) for _ in range(3))
         report.check(
             "distributivity",
@@ -293,7 +282,7 @@ def run_lattice(
             f"{a}, {b}",
         )
 
-    for n in range(covers_max + 1):
+    for n in range(COVERS_MAX + 1):
         for p in enumerate_schroeder_partitions(n):
             cs = lattice.covers(p)
             brute_up = [
@@ -307,7 +296,7 @@ def run_lattice(
                 str(p),
             )
 
-    for n in range(chains_max + 1):
+    for n in range(CHAINS_MAX + 1):
         for p in enumerate_schroeder_partitions(n):
             report.check(
                 "saturated chain count equals standard filling count",
@@ -315,7 +304,6 @@ def run_lattice(
                 str(p),
             )
 
-    report.elapsed = time.time() - t0
     return report
 
 
@@ -323,7 +311,6 @@ def run_sav(max_size: int = 6) -> VerifyReport:
     """Weak-pattern poset structure, strong-avoidance characterizations, the
     up-set reduction, and the union/sum/connectedness laws."""
     _check_depth("sav", max_size)
-    t0 = time.time()
     report = VerifyReport("sav", {"max": max_size})
 
     expected_sizes = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
@@ -428,13 +415,7 @@ def run_sav(max_size: int = 6) -> VerifyReport:
         for p in posets.enumerate_posets(n, labeled=False)
     ]
     union_hosts = [q for q in hosts if q.n <= min(max_size, 5)]
-    avoid_memo: dict[tuple, bool] = {}
-
-    def memo_avoids(sub: posets.FinitePoset, pat: posets.FinitePoset) -> bool:
-        key = (sub.n, sub.up, pat.n, pat.up)
-        if key not in avoid_memo:
-            avoid_memo[key] = posets.strongly_avoids(sub, pat)
-        return avoid_memo[key]
+    memo_avoids = functools.cache(posets.strongly_avoids)
 
     for q in union_hosts:
         ground = list(range(1, q.n + 1))
@@ -497,7 +478,6 @@ def run_sav(max_size: int = 6) -> VerifyReport:
                 f"pattern {pat.strict_pairs()}, host {q.strict_pairs()}",
             )
 
-    report.elapsed = time.time() - t0
     return report
 
 
@@ -507,14 +487,11 @@ def _subsets(items):
         yield [items[i] for i in range(n) if mask >> i & 1]
 
 
-def run_interval_theorem(max_size: int = 5, tableau_max: int = 9) -> VerifyReport:
+def run_interval_theorem(max_size: int = 5) -> VerifyReport:
     """The tableau-preimage decision against exhaustive search, the worked
     interval set, and lonely-cell-freeness of constructed witnesses."""
     _check_depth("interval-theorem", max_size)
-    t0 = time.time()
-    report = VerifyReport(
-        "interval-theorem", {"max": max_size, "tableau_max": tableau_max}
-    )
+    report = VerifyReport("interval-theorem", {"max": max_size, "tableau_max": TABLEAU_MAX})
 
     q_tab = tableaux.SchroderTableau((4, 3, 2), ((1, 2, 5, 8), (3, 4, 9), (6, 7)))
     report.check(
@@ -524,7 +501,7 @@ def run_interval_theorem(max_size: int = 5, tableau_max: int = 9) -> VerifyRepor
         str(intervals.intervals_of_tableau(q_tab)),
     )
 
-    for n in range(tableau_max + 1):
+    for n in range(TABLEAU_MAX + 1):
         for shape in enumerate_schroeder_partitions(n):
             for t in tableaux.enumerate_tableaux(shape):
                 po = intervals.interval_order(intervals.intervals_of_tableau(t))
@@ -570,7 +547,6 @@ def run_interval_theorem(max_size: int = 5, tableau_max: int = 9) -> VerifyRepor
                     str(p.strict_pairs()),
                 )
 
-    report.elapsed = time.time() - t0
     return report
 
 
@@ -582,16 +558,6 @@ SUITES = {
     "sav": run_sav,
     "interval-theorem": run_interval_theorem,
 }
-
-DEFAULT_MAX = {
-    "counts": 9,
-    "differential": 18,
-    "rsk": 8,
-    "lattice": 15,
-    "sav": 6,
-    "interval-theorem": 5,
-}
-
 
 # the largest depth of each suite that finishes in about a minute on a 2-core
 # host (counts 10: 52 s, differential 38: 58 s, lattice 23: 54 s); the rsk
@@ -616,8 +582,6 @@ def _check_depth(suite: str, depth: int) -> None:
 def run_suite(name: str, max_size: int | None = None, seed: int = 0) -> VerifyReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    size = DEFAULT_MAX[name] if max_size is None else max_size
     runner = SUITES[name]
-    if name == "lattice":
-        return runner(size, seed=seed)
-    return runner(size)
+    depth = () if max_size is None else (max_size,)
+    return runner(*depth, seed=seed) if name == "lattice" else runner(*depth)

@@ -5,6 +5,7 @@ import pytest
 
 from schroeder import cli, verify
 from schroeder.cli import main
+from schroeder.insertion import PERMUTATION_LIMIT
 from schroeder.partitions import ENUMERATION_LIMIT, GF_LIMIT
 
 
@@ -167,6 +168,38 @@ def test_partitions_limits(capsys, argv, limit):
     assert err.startswith("error:") and f"limit {limit}" in err
     assert "Traceback" not in err
     assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("algorithm", ["sch", "rs"])
+def test_insert_permutation_limit(capsys, algorithm):
+    perm = ",".join(map(str, range(PERMUTATION_LIMIT + 1, 0, -1)))
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "insert", "--perm", perm, "--algorithm", algorithm)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"limit {PERMUTATION_LIMIT}" in err
+    assert "Traceback" not in err
+    assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["posets", "enumerate", "--size", "3", "--labeled", "--unlabeled"],
+        ["posets", "sav", "--size", "3", "--pattern", "p.json", "--unlabeled", "--labeled"],
+        ["tableaux", "--shape", "3,1", "--count", "--list"],
+    ],
+)
+def test_conflicting_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "not allowed with argument" in err and "Traceback" not in err
+
+
+def test_labeled_flag_alone(capsys):
+    code, out, _ = run_cli(capsys, "posets", "enumerate", "--size", "2", "--labeled")
+    assert code == 0 and out == "2: -\n2: 2<1\n2: 1<2\n"
 
 
 def test_verify_exit_codes(capsys):

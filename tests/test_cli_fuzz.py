@@ -4,9 +4,10 @@ as 2), exit 1 only from ``verify``, print no traceback and return within
 2 s.
 
 Sizes come from a small range or from far above each limit, so that a call
-either answers at once or is refused; ``intervals preimage`` gets at most 8
-or more than 30 intervals, because sizes in between can still search for
-seconds.
+either answers at once or is refused: permutations have at most 14 values
+or are a rotation or reversal far above the permutation limit, and
+``intervals preimage`` gets at most 8 or more than 30 intervals, because
+sizes in between can still search for seconds.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from schroeder import cli, verify
+from schroeder.insertion import PERMUTATION_LIMIT
 from schroeder.intervals import DOWNSET_LIMIT
 from schroeder.lattice import CHAIN_ORDER_LIMIT
 from schroeder.partitions import ENUMERATION_LIMIT, GF_LIMIT
@@ -56,8 +58,16 @@ def shapes(draw, limit):
 
 @st.composite
 def permutations_text(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["text", "small", "long"]))
+    if kind == "text":
         return draw(st.text(alphabet="0123456789,-x ", max_size=12))
+    if kind == "long":
+        n = draw(st.integers(PERMUTATION_LIMIT + 1, 10 * (PERMUTATION_LIMIT + 1)))
+        k = draw(st.integers(0, n - 1))
+        perm = [(i + k) % n + 1 for i in range(n)]
+        if draw(st.booleans()):
+            perm.reverse()
+        return ",".join(map(str, perm))
     perm = draw(st.permutations(range(1, draw(st.integers(1, 14)) + 1)))
     if len(perm) <= 9 and draw(st.booleans()):
         return "".join(map(str, perm))

@@ -86,6 +86,12 @@ def test_chain_counts():
     assert count_chains((3, 1)) == 2
 
 
+def test_chain_memo_is_bounded():
+    # bounded, yet above the 69,473 sub-partitions of the worst order-64 shape
+    maxsize = count_chains.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 69473
+
+
 def test_chains_equal_tableaux_counts():
     for n in range(9):
         for p in enumerate_schroeder_partitions(n):

@@ -5,7 +5,7 @@ from schroeder.errors import LimitError
 
 
 def test_counts_suite_clean():
-    report = verify.run_counts(max_n=6, gf_max=20, c2_max=10)
+    report = verify.run_counts(max_n=6)
     assert report.ok
     assert report.checks > 0
 
@@ -37,8 +37,9 @@ def test_rsk_suite_validity_at_full_depth():
 
 
 def test_lattice_suite_clean():
-    report = verify.run_lattice(max_order=9, triples=500, seed=1, chains_max=6, covers_max=8)
+    report = verify.run_suite("lattice", 9, seed=1)
     assert report.ok
+    assert report.params["seed"] == 1
 
 
 def test_sav_suite_flags_only_bell():
@@ -48,13 +49,15 @@ def test_sav_suite_flags_only_bell():
 
 
 def test_interval_suite_clean():
-    report = verify.run_interval_theorem(max_size=3, tableau_max=6)
+    report = verify.run_interval_theorem(max_size=3)
     assert report.ok
 
 
 def test_run_suite_dispatch():
     report = verify.run_suite("counts", max_size=4)
     assert report.suite == "counts" and report.ok
+    # without a depth, run_suite runs the runner's default depth
+    assert verify.run_suite("differential") == verify.run_differential()
     with pytest.raises(ValueError):
         verify.run_suite("nope")
 
