@@ -12,8 +12,9 @@ from itertools import permutations
 Rows = tuple[tuple[int, ...], ...]
 
 
-def sch_rows(values) -> tuple[Rows, Rows]:
-    """Run triangular-cell insertion, returning (insertion rows, recording rows).
+def _sch_step(rows: list[list[int]], alpha: int) -> int:
+    """Insert ``alpha`` into the insertion rows in place by triangular-cell
+    insertion, and return the index of the row that grew by one cell.
 
     Case analysis per bumped value alpha landing in row i:
 
@@ -22,38 +23,44 @@ def sch_rows(values) -> tuple[Rows, Rows]:
     * target is an upper triangle with a twin: the twin's content is bumped,
       the upper content slides into the twin, alpha takes the upper cell.
     * target is a lonely upper cell: alpha takes it, the displaced value
-      fills a newly appended twin and the bump chain stops; the recording
-      tableau grows at the appended cell.
+      fills a newly appended twin and the bump chain stops.
     """
+    i = 0
+    while True:
+        if i == len(rows):
+            rows.append([alpha])
+            return i
+        row = rows[i]
+        if alpha > row[-1]:
+            row.append(alpha)
+            return i
+        j = bisect_right(row, alpha)
+        if (j + 1) % 2 == 0:  # lower triangle
+            alpha, row[j] = row[j], alpha
+            i += 1
+        elif j + 1 < len(row):  # upper triangle with twin
+            beta = row[j + 1]
+            row[j + 1] = row[j]
+            row[j] = alpha
+            alpha = beta
+            i += 1
+        else:  # lonely upper cell
+            row.append(row[j])
+            row[j] = alpha
+            return i
+
+
+def sch_rows(values) -> tuple[Rows, Rows]:
+    """Run triangular-cell insertion, returning (insertion rows, recording
+    rows); the recording tableau grows where the insertion tableau does."""
     rows: list[list[int]] = []
     qrows: list[list[int]] = []
     for k, alpha in enumerate(values, start=1):
-        i = 0
-        while True:
-            if i == len(rows):
-                rows.append([alpha])
-                qrows.append([k])
-                break
-            row = rows[i]
-            if alpha > row[-1]:
-                row.append(alpha)
-                qrows[i].append(k)
-                break
-            j = bisect_right(row, alpha)
-            if (j + 1) % 2 == 0:  # lower triangle
-                alpha, row[j] = row[j], alpha
-                i += 1
-            elif j + 1 < len(row):  # upper triangle with twin
-                beta = row[j + 1]
-                row[j + 1] = row[j]
-                row[j] = alpha
-                alpha = beta
-                i += 1
-            else:  # lonely upper cell
-                row.append(row[j])
-                row[j] = alpha
-                qrows[i].append(k)
-                break
+        i = _sch_step(rows, alpha)
+        if i == len(qrows):
+            qrows.append([k])
+        else:
+            qrows[i].append(k)
     return tuple(tuple(r) for r in rows), tuple(tuple(q) for q in qrows)
 
 
@@ -136,27 +143,62 @@ def sweep_row_col(n: int):
 
     Returns (row_count, col_count, row_mismatches, col_mismatches) where the
     counts tally insertion shapes with one row / one square-column and the
-    mismatch lists hold permutations where shape membership disagrees with
-    the corresponding predicate (pair condition / avoidance of 123 and 213).
+    mismatch lists hold permutations, in lexicographic order, where shape
+    membership disagrees with the corresponding predicate (pair condition /
+    avoidance of 123 and 213).
+
+    The permutations are walked depth-first by prefix, each child inserting
+    one more value into a copy of its parent's rows.  Four flags of the
+    prefix are carried down: one row, row 0 at most 2 long, every value in
+    the pair block of its position, and no 123 or 213.  None of them can
+    turn true again once false, because insertion never removes a row or
+    shortens row 0 and a failed predicate stays failed; so a prefix with
+    all four false has no permutation below it that is counted or listed,
+    and its subtree is skipped.
     """
     if n < 1:
         raise ValueError("sweep supports n >= 1")
-    row_count = 0
-    col_count = 0
-    row_mismatches = []
-    col_mismatches = []
-    for perm in permutations(range(1, n + 1)):
-        shape_rows, _ = sch_rows(perm)
-        ins_row = len(shape_rows) == 1
-        ins_col = len(shape_rows[0]) <= 2
-        if ins_row:
-            row_count += 1
-        if ins_col:
-            col_count += 1
-        if ins_row != single_row_predicate(perm):
-            row_mismatches.append(perm)
-        if ins_col != single_column_predicate(perm):
-            col_mismatches.append(perm)
+    row_count = col_count = 0
+    row_mismatches: list[tuple[int, ...]] = []
+    col_mismatches: list[tuple[int, ...]] = []
+    perm: list[int] = []
+    free = [True] * (n + 1)
+
+    def walk(rows, one_row, one_col, pairs, avoids, lo, hi):
+        # lo, hi: smallest and second-smallest value of the prefix
+        nonlocal row_count, col_count
+        i = len(perm)
+        if i == n:
+            row_count += one_row
+            col_count += one_col
+            if one_row != pairs:
+                row_mismatches.append(tuple(perm))
+            if one_col != avoids:
+                col_mismatches.append(tuple(perm))
+            return
+        block = i // 2
+        for v in range(1, n + 1):
+            if not free[v]:
+                continue
+            # positions 2b, 2b+1 (0-based) must hold the values 2b+1, 2b+2
+            c_pairs = pairs and (v - 1) // 2 == block
+            c_avoids = avoids and v <= hi
+            # skip the insertion when its two flags are false already
+            if not (one_row or one_col or c_pairs or c_avoids):
+                continue
+            child = [r[:] for r in rows]
+            _sch_step(child, v)
+            c_row = len(child) == 1
+            c_col = len(child[0]) <= 2
+            if not (c_row or c_col or c_pairs or c_avoids):
+                continue
+            free[v] = False
+            perm.append(v)
+            walk(child, c_row, c_col, c_pairs, c_avoids, *((v, lo) if v < lo else (lo, v)))
+            perm.pop()
+            free[v] = True
+
+    walk([], True, True, True, True, n + 1, n + 1)
     return row_count, col_count, row_mismatches, col_mismatches
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import insertion, intervals, lattice, posets, tableaux, verify
 from .errors import LimitError
@@ -27,26 +28,28 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
 
-def _emit(obj: dict, fmt: str, ascii_text: str) -> None:
+def _emit(obj: dict, fmt: str, ascii_text: Callable[[], str]) -> None:
+    """Print ``obj`` as JSON or the text ``ascii_text()`` renders; the text
+    is rendered only when printed."""
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True))
     else:
-        print(ascii_text)
+        print(ascii_text())
 
 
 def _cmd_partitions(args) -> int:
     if args.gf is not None:
         coeffs = gf_coefficients(args.gf)
-        _emit({"coefficients": coeffs}, args.format, " ".join(map(str, coeffs)))
+        _emit({"coefficients": coeffs}, args.format, lambda: " ".join(map(str, coeffs)))
         return EXIT_OK
     if args.order is None:
         raise ValueError("--order (or --gf) is required")
     parts = enumerate_schroeder_partitions(args.order)
     if args.count:
-        _emit({"order": args.order, "count": len(parts)}, args.format, str(len(parts)))
+        _emit({"order": args.order, "count": len(parts)}, args.format, lambda: str(len(parts)))
         return EXIT_OK
     for p in parts:
-        _emit({"partition": list(p)}, args.format, format_partition(p))
+        _emit({"partition": list(p)}, args.format, lambda: format_partition(p))
     return EXIT_OK
 
 
@@ -54,10 +57,10 @@ def _cmd_tableaux(args) -> int:
     shape = parse_partition(args.shape)
     if not args.list:
         n = tableaux.count_tableaux(shape)
-        _emit({"shape": list(shape), "count": n}, args.format, str(n))
+        _emit({"shape": list(shape), "count": n}, args.format, lambda: str(n))
         return EXIT_OK
     for t in tableaux.enumerate_tableaux(shape):
-        _emit(tableaux.tableau_to_json(t), args.format, tableaux.render(t) + "\n")
+        _emit(tableaux.tableau_to_json(t), args.format, lambda: tableaux.render(t) + "\n")
     return EXIT_OK
 
 
@@ -70,9 +73,11 @@ def _cmd_insert(args) -> int:
             "P": [list(r) for r in p_rows],
             "Q": [list(r) for r in q_rows],
         }
-        ascii_text = "P: " + " / ".join(
-            ",".join(map(str, r)) for r in p_rows
-        ) + "\nQ: " + " / ".join(",".join(map(str, r)) for r in q_rows)
+
+        def ascii_text() -> str:
+            return "P: " + " / ".join(
+                ",".join(map(str, r)) for r in p_rows
+            ) + "\nQ: " + " / ".join(",".join(map(str, r)) for r in q_rows)
     else:
         p_tab, q_tab = insertion.sch_insert(perm)
         obj = {
@@ -80,7 +85,9 @@ def _cmd_insert(args) -> int:
             "P": tableaux.tableau_to_json(p_tab),
             "Q": tableaux.tableau_to_json(q_tab),
         }
-        ascii_text = f"P:\n{tableaux.render(p_tab)}\nQ:\n{tableaux.render(q_tab)}"
+
+        def ascii_text() -> str:
+            return f"P:\n{tableaux.render(p_tab)}\nQ:\n{tableaux.render(q_tab)}"
     _emit(obj, args.format, ascii_text)
     return EXIT_OK
 
@@ -88,7 +95,7 @@ def _cmd_insert(args) -> int:
 def _cmd_classify(args) -> int:
     perm = insertion.parse_permutation(args.perm)
     label = insertion.classify_shape(perm)
-    _emit({"perm": list(perm), "class": label}, args.format, label)
+    _emit({"perm": list(perm), "class": label}, args.format, lambda: label)
     return EXIT_OK
 
 
@@ -103,14 +110,14 @@ def _cmd_lattice(args) -> int:
                 "down": [list(d) for d in cs.down_covers],
             },
             args.format,
-            "\n".join(
+            lambda: "\n".join(
                 [f"up {format_partition(u)}" for u in cs.up_covers]
                 + [f"down {format_partition(d)}" for d in cs.down_covers]
             ),
         )
         return EXIT_OK
     n = lattice.count_chains(shape)
-    _emit({"shape": list(shape), "chains": n}, args.format, str(n))
+    _emit({"shape": list(shape), "chains": n}, args.format, lambda: str(n))
     return EXIT_OK
 
 
@@ -129,7 +136,7 @@ def _relations(p: posets.FinitePoset) -> str:
 def _cmd_posets(args) -> int:
     if args.posets_cmd == "enumerate":
         for p in posets.enumerate_posets(args.size, labeled=not args.unlabeled):
-            _emit(posets.poset_to_json(p), args.format, f"{p.n}: {_relations(p)}")
+            _emit(posets.poset_to_json(p), args.format, lambda: f"{p.n}: {_relations(p)}")
         return EXIT_OK
     if args.posets_cmd == "sav":
         pattern = posets.poset_from_json(_load_json(args.pattern))
@@ -137,7 +144,7 @@ def _cmd_posets(args) -> int:
         _emit(
             {"size": args.size, "labeled": not args.unlabeled, "count": count},
             args.format,
-            str(count),
+            lambda: str(count),
         )
         return EXIT_OK
     xp = posets.build_weak_pattern_poset(args.size)
@@ -157,7 +164,7 @@ def _cmd_posets(args) -> int:
             "hasse_edges": [list(e) for e in xp.hasse_edges],
         },
         args.format,
-        "\n".join(
+        lambda: "\n".join(
             [f"{i}: {_relations(e)}" for i, e in enumerate(xp.elements)]
             + [f"{i} -> {j}" for i, j in xp.hasse_edges]
         ),
@@ -172,14 +179,14 @@ def _cmd_intervals(args) -> int:
         _emit(
             intervals.intervals_to_json(ivs),
             args.format,
-            " ".join(f"[{a},{b}]" for a, b in ivs),
+            lambda: " ".join(f"[{a},{b}]" for a, b in ivs),
         )
         return EXIT_OK
     ivs = intervals.intervals_from_json(_load_json(args.file))
     order = intervals.interval_order(ivs)
     witness = intervals.has_schroder_preimage(order)
     if witness is None:
-        _emit({"witness": None}, args.format, "none")
+        _emit({"witness": None}, args.format, lambda: "none")
         return EXIT_OK
     built = intervals.tableau_from_witness(order, witness.downset, witness.mapping)
     _emit(
@@ -191,7 +198,7 @@ def _cmd_intervals(args) -> int:
             "tableau": tableaux.tableau_to_json(built),
         },
         args.format,
-        f"downset {format_partition(witness.downset)}\n"
+        lambda: f"downset {format_partition(witness.downset)}\n"
         f"mapping {','.join(map(str, witness.mapping))}\n"
         + tableaux.render(built),
     )
@@ -210,7 +217,7 @@ def _cmd_verify(args) -> int:
             "ok": report.ok,
         },
         args.format,
-        "\n".join(report.summary_lines()),
+        lambda: "\n".join(report.summary_lines()),
     )
     return EXIT_OK if report.ok else EXIT_VERIFY
 

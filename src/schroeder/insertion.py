@@ -55,12 +55,6 @@ def sch_insert(p: Sequence[int]) -> tuple[SchroderTableau, SchroderTableau]:
     return SchroderTableau(shape, p_rows), SchroderTableau(shape, q_rows)
 
 
-def sch_shape(p: Sequence[int]) -> Partition:
-    """Shape of the insertion tableau of ``p``."""
-    rows, _ = _kernels.sch_rows(check_permutation(p))
-    return tuple(len(r) for r in rows)
-
-
 def _check_distinct(values: Iterable[int]) -> tuple[int, ...]:
     t = tuple(values)
     if len(set(t)) != len(t):
@@ -198,24 +192,6 @@ def classify_shape(p: Sequence[int]) -> str:
     if has_hook_decomposition(p):
         return "hook"
     return "other"
-
-
-def is_standard_young(rows: Rows) -> bool:
-    """True iff the rows form a standard Young tableau: a partition shape
-    filled bijectively with 1..n, increasing along rows and down columns."""
-    shape = tuple(len(r) for r in rows)
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        return False
-    entries = sorted(x for row in rows for x in row)
-    if entries != list(range(1, sum(shape) + 1)):
-        return False
-    for row in rows:
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-            return False
-    for i in range(len(rows) - 1):
-        if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
-            return False
-    return True
 
 
 def count_standard_young(shape: Partition) -> int:

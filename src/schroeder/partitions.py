@@ -117,10 +117,29 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 
 def enumerate_schroeder_partitions(n: int) -> list[Partition]:
-    """All partitions of ``n`` with simple odd parts, lexicographically decreasing."""
+    """All partitions of ``n`` with simple odd parts, lexicographically
+    decreasing: parts are chosen largest first, an even part may be followed
+    by parts up to itself and an odd part only by smaller ones."""
+    if n < 0:
+        raise ValueError("order must be >= 0")
     if n > ENUMERATION_LIMIT:
         raise LimitError(f"order {n} exceeds limit {ENUMERATION_LIMIT}")
-    return [p for p in partitions_of(n) if is_schroeder(p)]
+    result: list[Partition] = []
+    _extend_simple_odd([], n, n, result)
+    return result
+
+
+def _extend_simple_odd(parts: list[int], remaining: int, cap: int, out: list) -> None:
+    """Append to ``out`` every completion of ``parts`` by ``remaining`` more
+    cells in parts of at most ``cap``, with simple odd parts."""
+    # a part 1 can only come last, and any cap >= 2 completes any rest
+    if remaining <= 1:
+        out.append(tuple(parts) + (1,) * remaining)
+        return
+    for part in range(min(remaining, cap), 1, -1):
+        parts.append(part)
+        _extend_simple_odd(parts, remaining - part, part - part % 2, out)
+        parts.pop()
 
 
 def gf_coefficients(max_order: int) -> list[int]:
@@ -153,11 +172,6 @@ def gf_coefficients(max_order: int) -> list[int]:
 def unbounded(_: int) -> float:
     """Multiplicity bound allowing any number of repetitions."""
     return math.inf
-
-
-def schroeder_multiplicity(part: int) -> float:
-    """Multiplicity bound of the simple-odd-parts class: 1 for odd, unbounded for even."""
-    return 1 if part % 2 else math.inf
 
 
 def is_in_multiplicity_class(

@@ -213,11 +213,6 @@ def vee() -> FinitePoset:
     return FinitePoset(3, [(1, 2), (1, 3)])
 
 
-def wedge() -> FinitePoset:
-    """Two incomparable minima below one maximum."""
-    return FinitePoset(3, [(1, 3), (2, 3)])
-
-
 def single_cover(n: int) -> FinitePoset:
     """1 < 2 plus n-2 isolated elements."""
     if n < 2:

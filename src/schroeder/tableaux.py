@@ -180,15 +180,6 @@ def tableau_to_chain(t: SchroderTableau) -> list[Partition]:
     return chain
 
 
-def is_single_row_shape(shape: Partition) -> bool:
-    return len(shape) <= 1
-
-
-def is_single_column_shape(shape: Partition) -> bool:
-    """True iff every cell lies in the first square-column."""
-    return not shape or shape[0] <= 2
-
-
 def is_hook_shape(shape: Partition) -> bool:
     """True iff at most the first row extends past the first square-column."""
     return all(part <= 2 for part in shape[1:])

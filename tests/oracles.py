@@ -2,9 +2,11 @@
 
 Everything here is deliberately written with a different algorithm than the
 code under test: direct filters, exhaustive injections, and first-principles
-recurrences.
+recurrences.  The small predicates and constructors at the end are used by
+tests alone.
 """
 
+import math
 from itertools import combinations, permutations
 
 
@@ -27,6 +29,14 @@ def simple_odd_parts(p):
 def brute_schroeder_partitions(n):
     """Set of partitions of n with simple odd parts, via the independent generator."""
     return {p for p in partitions_by_smallest_part(n) if simple_odd_parts(p)}
+
+
+def filtered_schroeder_partitions(n):
+    """Partitions of n with simple odd parts, lexicographically decreasing,
+    by filtering every partition of n."""
+    from schroeder.partitions import is_schroeder, partitions_of
+
+    return [p for p in partitions_of(n) if is_schroeder(p)]
 
 
 def brute_up_covers(p, leq, is_valid, partitions_of):
@@ -119,6 +129,28 @@ def subset_hook_decomposition(p):
     return False
 
 
+def brute_sweep_row_col(n):
+    """The S_n sweep of ``_kernels.sweep_row_col``, inserting every
+    permutation of 1..n from scratch in lexicographic order."""
+    from schroeder import _kernels
+
+    row_count = 0
+    col_count = 0
+    row_mismatches = []
+    col_mismatches = []
+    for perm in permutations(range(1, n + 1)):
+        shape_rows, _ = _kernels.sch_rows(perm)
+        ins_row = len(shape_rows) == 1
+        ins_col = len(shape_rows[0]) <= 2
+        row_count += ins_row
+        col_count += ins_col
+        if ins_row != _kernels.single_row_predicate(perm):
+            row_mismatches.append(perm)
+        if ins_col != _kernels.single_column_predicate(perm):
+            col_mismatches.append(perm)
+    return row_count, col_count, row_mismatches, col_mismatches
+
+
 def brute_weakly_contains(host, pat):
     """Weak containment by trying every injective assignment."""
     if pat.n > host.n:
@@ -182,3 +214,51 @@ def bell_by_binomial(n):
     for k in range(n):
         bells.append(sum(comb(k, j) * bells[j] for j in range(k + 1)))
     return bells[1:]
+
+
+def sch_shape(p):
+    """Shape of the triangular insertion tableau of the permutation ``p``."""
+    from schroeder import _kernels
+    from schroeder.insertion import check_permutation
+
+    rows, _ = _kernels.sch_rows(check_permutation(p))
+    return tuple(len(r) for r in rows)
+
+
+def is_single_row_shape(shape):
+    return len(shape) <= 1
+
+
+def is_single_column_shape(shape):
+    """True iff every cell lies in the first square-column."""
+    return not shape or shape[0] <= 2
+
+
+def is_standard_young(rows):
+    """True iff the rows form a standard Young tableau: a partition shape
+    filled bijectively with 1..n, increasing along rows and down columns."""
+    shape = tuple(len(r) for r in rows)
+    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
+        return False
+    entries = sorted(x for row in rows for x in row)
+    if entries != list(range(1, sum(shape) + 1)):
+        return False
+    for row in rows:
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            return False
+    for i in range(len(rows) - 1):
+        if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
+            return False
+    return True
+
+
+def schroeder_multiplicity(part):
+    """Multiplicity bound of the simple-odd-parts class: 1 for odd, unbounded for even."""
+    return 1 if part % 2 else math.inf
+
+
+def wedge():
+    """Two incomparable minima below one maximum."""
+    from schroeder.posets import FinitePoset
+
+    return FinitePoset(3, [(1, 3), (2, 3)])

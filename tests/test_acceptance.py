@@ -21,7 +21,7 @@ from schroeder.partitions import (
     satisfies_cn_condition,
 )
 
-from oracles import bell_by_binomial, brute_schroeder_partitions
+from oracles import bell_by_binomial, brute_schroeder_partitions, sch_shape
 
 
 def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -99,7 +99,7 @@ def test_criterion_05_hook_certification():
     for n in range(1, 9):
         mismatches = []
         for perm in permutations(range(1, n + 1)):
-            shape = insertion.sch_shape(perm)
+            shape = sch_shape(perm)
             shape_hook = tableaux.is_hook_shape(shape) and sum(shape) >= 2
             if shape_hook != insertion.has_hook_decomposition(perm):
                 mismatches.append(perm)
@@ -107,7 +107,7 @@ def test_criterion_05_hook_certification():
             findings.append(f"n={n}: {len(mismatches)} mismatches, first {mismatches[0]}")
         # the decomposition direction always holds: it forces a hook shape
         assert all(
-            tableaux.is_hook_shape(insertion.sch_shape(p))
+            tableaux.is_hook_shape(sch_shape(p))
             for p in mismatches
         )
     elapsed = time.monotonic() - t0

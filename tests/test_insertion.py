@@ -9,6 +9,8 @@ from oracles import (
     all_fillings,
     brute_avoids_123_213,
     brute_contains_pattern,
+    is_standard_young,
+    sch_shape,
     subset_hook_decomposition,
 )
 from schroeder import _kernels
@@ -22,12 +24,10 @@ from schroeder.insertion import (
     has_hook_decomposition,
     is_k_rooted_shuffle,
     is_shuffle,
-    is_standard_young,
     parse_permutation,
     pattern_of,
     rs_insert,
     sch_insert,
-    sch_shape,
     single_column_predicate,
     single_row_predicate,
 )
@@ -239,7 +239,7 @@ def test_single_column_predicate_matches_bruteforce():
 
 def test_public_functions_reject_repeated_values():
     with pytest.raises(ValueError):
-        sch_shape((1, 1, 2))
+        sch_insert((1, 1, 2))
     with pytest.raises(ValueError):
         contains_pattern((1, 1, 2), (1, 2))
     with pytest.raises(ValueError):

@@ -1,14 +1,15 @@
 """The S_n sweep kernels against sweeps rebuilt one permutation at a time
-from the public insertion functions and the brute-force oracles."""
+from the public insertion functions and the brute-force oracles, and the
+premises of the pruned prefix walk."""
 
 from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from oracles import brute_avoids_123_213
+from oracles import brute_avoids_123_213, brute_sweep_row_col, sch_shape
 from schroeder import _kernels
-from schroeder.insertion import rs_insert, sch_shape
+from schroeder.insertion import rs_insert
 
 
 def _pair_predicate(perm):
@@ -44,6 +45,38 @@ def test_backend_is_pure():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sweep_row_col_matches_per_permutation_rebuild(n):
     assert _kernels.sweep_row_col(n) == _rebuilt_row_col(n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sweep_row_col_matches_brute_sweep(n):
+    assert _kernels.sweep_row_col(n) == brute_sweep_row_col(n)
+
+
+def test_walk_flags_are_prefix_closed():
+    """Along every prefix of every permutation of 1..n, n <= 8: the row count
+    and the length of row 0 never decrease, and a prefix that fails the pair
+    predicate (some value outside the pair block of its position) or avoidance
+    of 123 and 213 has no completion that satisfies it."""
+    for n in range(1, 9):
+        perms = list(permutations(range(1, n + 1)))
+        completable = {
+            name: {perm[:k] for perm in perms if pred(perm) for k in range(n + 1)}
+            for name, pred in (
+                ("pairs", _kernels.single_row_predicate),
+                ("avoids", _kernels.single_column_predicate),
+            )
+        }
+        for perm in perms:
+            rows = []
+            for k, v in enumerate(perm):
+                before = len(rows), len(rows[0]) if rows else 0
+                _kernels._sch_step(rows, v)
+                assert before <= (len(rows), len(rows[0])), perm[: k + 1]
+                prefix = perm[: k + 1]
+                if any((x - 1) // 2 != i // 2 for i, x in enumerate(prefix)):
+                    assert prefix not in completable["pairs"], prefix
+                if not _kernels.single_column_predicate(prefix):
+                    assert prefix not in completable["avoids"], prefix
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -2,7 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_schroeder_partitions
+from oracles import (
+    brute_schroeder_partitions,
+    filtered_schroeder_partitions,
+    schroeder_multiplicity,
+)
 from schroeder.partitions import (
     check_partition,
     cluster_map,
@@ -16,7 +20,6 @@ from schroeder.partitions import (
     parse_partition,
     partitions_of,
     satisfies_cn_condition,
-    schroeder_multiplicity,
     unbounded,
 )
 
@@ -72,6 +75,16 @@ def test_enumeration_is_lexicographically_decreasing():
     for n in range(10):
         parts = enumerate_schroeder_partitions(n)
         assert parts == sorted(parts, reverse=True)
+
+
+def test_enumeration_matches_filtered_partitions():
+    for n in range(41):
+        assert enumerate_schroeder_partitions(n) == filtered_schroeder_partitions(n), n
+
+
+def test_enumeration_rejects_negative_order():
+    with pytest.raises(ValueError):
+        enumerate_schroeder_partitions(-1)
 
 
 def test_gf_against_enumeration():

@@ -4,6 +4,7 @@ from oracles import (
     bell_by_binomial,
     brute_contains_induced,
     brute_weakly_contains,
+    wedge,
 )
 from schroeder.errors import LimitError
 from schroeder.posets import (
@@ -31,7 +32,6 @@ from schroeder.posets import (
     upset_in_Xn,
     vee,
     weakly_contains,
-    wedge,
 )
 
 

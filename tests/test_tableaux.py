@@ -1,6 +1,11 @@
 import pytest
 
-from oracles import all_fillings, brute_is_standard
+from oracles import (
+    all_fillings,
+    brute_is_standard,
+    is_single_column_shape,
+    is_single_row_shape,
+)
 from schroeder.errors import LimitError
 from schroeder.lattice import covers
 from schroeder.partitions import enumerate_schroeder_partitions
@@ -10,8 +15,6 @@ from schroeder.tableaux import (
     count_tableaux,
     enumerate_tableaux,
     is_hook_shape,
-    is_single_column_shape,
-    is_single_row_shape,
     is_standard,
     is_standard_rows,
     lonely_cells,

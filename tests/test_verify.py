@@ -67,7 +67,7 @@ def test_runners_bound_their_depth():
     with pytest.raises(ValueError):
         verify.run_lattice(max_order=-1)
     with pytest.raises(LimitError):
-        verify.run_counts(max_n=11)
+        verify.run_counts(max_n=verify.MAX_DEPTH["counts"] + 1)
 
 
 def test_bell_oracle_matches_independent_recurrence():
