@@ -4,7 +4,8 @@ avoidance, and the poset of unlabeled posets ordered by weak containment.
 Elements are 1..n in the public API; relations are strict pairs (i, j)
 meaning i < j.  Internally each poset stores, per element, bitmasks of the
 elements strictly above and strictly below it; relations are always
-transitively closed.
+transitively closed.  Only pairs input, ``FinitePoset(n, pairs)``, is closed
+and checked for cycles; derived posets are built from masks already closed.
 """
 
 from __future__ import annotations
@@ -225,27 +226,23 @@ def two_plus_two() -> FinitePoset:
 
 
 def disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    pairs = list(p.strict_pairs()) + [(i + p.n, j + p.n) for i, j in q.strict_pairs()]
-    return FinitePoset(p.n + q.n, pairs)
+    return FinitePoset._from_masks(p.n + q.n, p.up + tuple(m << p.n for m in q.up))
 
 
 def linear_sum(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    pairs = list(p.strict_pairs()) + [(i + p.n, j + p.n) for i, j in q.strict_pairs()]
-    pairs += [(i, j + p.n) for i in range(1, p.n + 1) for j in range(1, q.n + 1)]
-    return FinitePoset(p.n + q.n, pairs)
+    above = ((1 << q.n) - 1) << p.n
+    up = tuple(m | above for m in p.up) + tuple(m << p.n for m in q.up)
+    return FinitePoset._from_masks(p.n + q.n, up)
 
 
 def induced_subposet(p: FinitePoset, elements: Sequence[int]) -> FinitePoset:
     """Restriction of ``p`` to the given elements, relabeled 1..k in sorted order."""
     elems = sorted(set(elements))
-    index = {e: i + 1 for i, e in enumerate(elems)}
-    pairs = [
-        (index[i], index[j])
-        for i in elems
-        for j in elems
-        if i != j and p.less(i, j)
-    ]
-    return FinitePoset(len(elems), pairs)
+    up = tuple(
+        sum(1 << j for j, f in enumerate(elems) if p.up[e - 1] >> (f - 1) & 1)
+        for e in elems
+    )
+    return FinitePoset._from_masks(len(elems), up)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +327,13 @@ def _embedding(
     pattern vertices 0..pat.n-1, or None.
 
     Pattern vertices are assigned in ``order``, by default most relations
-    first, and each one tries host vertices in increasing order, so with
-    ``order=range(pat.n)`` the result is the lexicographically smallest map.
+    first.  A vertex's candidates are one bitmask: the unused host vertices,
+    cut by ``host.up[x]`` for each assigned pattern vertex below it with
+    image x, by ``host.down[x]`` for each above it, and, when ``induced``, by
+    the complement of both for each incomparable one.  Candidates are tried
+    in increasing order, skipping those with fewer host relations up or down
+    than the pattern vertex has, so with ``order=range(pat.n)`` the result is
+    the lexicographically smallest map.
     """
     if pat.n > host.n:
         return None
@@ -340,48 +342,35 @@ def _embedding(
             range(pat.n),
             key=lambda v: -(pat.up[v].bit_count() + pat.down[v].bit_count()),
         )
+    host_up, host_down, pat_up, pat_down = host.up, host.down, pat.up, pat.down
     image = [0] * pat.n  # image[v] = host vertex assigned to pattern vertex v
-    used = [False] * host.n
 
-    def feasible(v: int, w: int) -> bool:
-        if pat.up[v].bit_count() > host.up[w].bit_count():
-            return False
-        if pat.down[v].bit_count() > host.down[w].bit_count():
-            return False
-        return True
-
-    def rec(k: int) -> bool:
+    def rec(k: int, unused: int) -> bool:
         if k == pat.n:
             return True
         v = order[k]
-        for w in range(host.n):
-            if used[w] or not feasible(v, w):
-                continue
-            ok = True
-            for t in range(k):
-                u = order[t]
-                x = image[u]
-                pat_uv = pat.up[u] >> v & 1
-                pat_vu = pat.up[v] >> u & 1
-                host_xw = host.up[x] >> w & 1
-                host_wx = host.up[w] >> x & 1
-                if pat_uv and not host_xw:
-                    ok = False
-                elif pat_vu and not host_wx:
-                    ok = False
-                elif induced and not pat_uv and not pat_vu and (host_xw or host_wx):
-                    ok = False
-                if not ok:
-                    break
-            if ok:
+        candidates = unused
+        for t in range(k):
+            u = order[t]
+            x = image[u]
+            if pat_up[u] >> v & 1:
+                candidates &= host_up[x]
+            elif pat_down[u] >> v & 1:
+                candidates &= host_down[x]
+            elif induced:
+                candidates &= ~(host_up[x] | host_down[x])
+        need_up, need_down = pat_up[v].bit_count(), pat_down[v].bit_count()
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            if need_up <= host_up[w].bit_count() and need_down <= host_down[w].bit_count():
                 image[v] = w
-                used[w] = True
-                if rec(k + 1):
+                if rec(k + 1, unused ^ low):
                     return True
-                used[w] = False
         return False
 
-    return tuple(image) if rec(0) else None
+    return tuple(image) if rec(0, (1 << host.n) - 1) else None
 
 
 def contains_induced(q: FinitePoset, p: FinitePoset) -> bool:
@@ -465,23 +454,16 @@ class WeakPatternPoset:
     hasse_edges: tuple[tuple[int, int], ...]
 
     def minimum(self) -> int:
-        (m,) = [i for i in range(len(self.elements)) if self._downset_size(i) == 1]
+        (m,) = [i for i, column in enumerate(zip(*self.leq)) if sum(column) == 1]
         return m
 
     def maximum(self) -> int:
-        (m,) = [
-            i
-            for i in range(len(self.elements))
-            if sum(self.leq[i][j] for j in range(len(self.elements))) == 1
-        ]
+        (m,) = [i for i, row in enumerate(self.leq) if sum(row) == 1]
         return m
 
     def atoms(self) -> list[int]:
         bottom = self.minimum()
         return [j for i, j in self.hasse_edges if i == bottom]
-
-    def _downset_size(self, i: int) -> int:
-        return sum(self.leq[j][i] for j in range(len(self.elements)))
 
 
 def build_weak_pattern_poset(n: int) -> WeakPatternPoset:

@@ -185,6 +185,89 @@ def brute_contains_induced(host, pat):
     return False
 
 
+def pairwise_embedding(host, pat, induced, order=None):
+    """``posets._embedding`` by testing each host vertex against every
+    assigned pattern vertex pair by pair: the same assignment order, the same
+    degree filter and the same increasing candidate order, so the same first
+    image."""
+    if pat.n > host.n:
+        return None
+    if order is None:
+        order = sorted(
+            range(pat.n),
+            key=lambda v: -(pat.up[v].bit_count() + pat.down[v].bit_count()),
+        )
+    image = [0] * pat.n
+    used = [False] * host.n
+
+    def feasible(v, w):
+        if pat.up[v].bit_count() > host.up[w].bit_count():
+            return False
+        if pat.down[v].bit_count() > host.down[w].bit_count():
+            return False
+        return True
+
+    def rec(k):
+        if k == pat.n:
+            return True
+        v = order[k]
+        for w in range(host.n):
+            if used[w] or not feasible(v, w):
+                continue
+            ok = True
+            for t in range(k):
+                u = order[t]
+                x = image[u]
+                pat_uv = pat.up[u] >> v & 1
+                pat_vu = pat.up[v] >> u & 1
+                host_xw = host.up[x] >> w & 1
+                host_wx = host.up[w] >> x & 1
+                if pat_uv and not host_xw:
+                    ok = False
+                elif pat_vu and not host_wx:
+                    ok = False
+                elif induced and not pat_uv and not pat_vu and (host_xw or host_wx):
+                    ok = False
+                if not ok:
+                    break
+            if ok:
+                image[v] = w
+                used[w] = True
+                if rec(k + 1):
+                    return True
+                used[w] = False
+        return False
+
+    return tuple(image) if rec(0) else None
+
+
+def pairs_disjoint_union(p, q):
+    """Disjoint union through strict pairs and ``FinitePoset(n, pairs)``."""
+    from schroeder.posets import FinitePoset
+
+    pairs = list(p.strict_pairs()) + [(i + p.n, j + p.n) for i, j in q.strict_pairs()]
+    return FinitePoset(p.n + q.n, pairs)
+
+
+def pairs_linear_sum(p, q):
+    """Linear sum (all of ``p`` below all of ``q``) through strict pairs."""
+    from schroeder.posets import FinitePoset
+
+    pairs = list(p.strict_pairs()) + [(i + p.n, j + p.n) for i, j in q.strict_pairs()]
+    pairs += [(i, j + p.n) for i in range(1, p.n + 1) for j in range(1, q.n + 1)]
+    return FinitePoset(p.n + q.n, pairs)
+
+
+def pairs_induced_subposet(p, elements):
+    """Restriction to ``elements``, relabeled in sorted order, through strict pairs."""
+    from schroeder.posets import FinitePoset
+
+    elems = sorted(set(elements))
+    index = {e: i + 1 for i, e in enumerate(elems)}
+    pairs = [(index[i], index[j]) for i in elems for j in elems if i != j and p.less(i, j)]
+    return FinitePoset(len(elems), pairs)
+
+
 def brute_first_witness(p):
     """The first (down-set, mapping) for a poset ``p``: down-sets with p.n
     cells in lexicographically decreasing order of their row lengths, and

@@ -4,11 +4,16 @@ from oracles import (
     bell_by_binomial,
     brute_contains_induced,
     brute_weakly_contains,
+    pairs_disjoint_union,
+    pairs_induced_subposet,
+    pairs_linear_sum,
+    pairwise_embedding,
     wedge,
 )
 from schroeder.errors import LimitError
 from schroeder.posets import (
     FinitePoset,
+    _embedding,
     antichain,
     build_weak_pattern_poset,
     chain,
@@ -120,6 +125,41 @@ def test_containment_against_bruteforce():
         for p in pats:
             assert weakly_contains(q, p) == brute_weakly_contains(q, p)
             assert contains_induced(q, p) == brute_contains_induced(q, p)
+
+
+def test_embedding_matches_pairwise_search():
+    """Same first image as the pair-by-pair search: unlabeled hosts of size
+    0..5 and labeled hosts of size 4, unlabeled patterns of size 0..4, induced
+    and not, in the default order and in vertex order."""
+    hosts = [q for n in range(6) for q in enumerate_posets(n, labeled=False)]
+    hosts += enumerate_posets(4, labeled=True)
+    pats = [p for n in range(5) for p in enumerate_posets(n, labeled=False)]
+    calls = 0
+    for q in hosts:
+        for p in pats:
+            for induced in (False, True):
+                for order in (None, range(p.n)):
+                    assert _embedding(q, p, induced, order) == pairwise_embedding(
+                        q, p, induced, order
+                    ), (q, p, induced, order)
+                    calls += 1
+    assert calls == 30700
+
+
+def test_mask_constructors_match_pairs_construction():
+    def same(a, b):
+        return (a.n, a.up, a.down) == (b.n, b.up, b.down)
+
+    for n in range(5):
+        for p in enumerate_posets(n, labeled=True):
+            for mask in range(1 << n):
+                elements = [e for e in range(1, n + 1) if mask >> (e - 1) & 1]
+                assert same(induced_subposet(p, elements), pairs_induced_subposet(p, elements))
+    small = [p for n in range(4) for p in enumerate_posets(n, labeled=True)]
+    for p in small:
+        for q in small:
+            assert same(disjoint_union(p, q), pairs_disjoint_union(p, q))
+            assert same(linear_sum(p, q), pairs_linear_sum(p, q))
 
 
 def test_upset_example():
