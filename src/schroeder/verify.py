@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import permutations as _perms
+from itertools import chain
+from typing import Callable
 
 from . import _kernels, insertion, intervals, lattice, posets, tableaux
 from .errors import LimitError
@@ -45,10 +46,14 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def check(self, claim: str, condition: bool, witness: str = "") -> None:
+    def check(
+        self, claim: str, condition: bool, witness: str | Callable[[], str] = ""
+    ) -> None:
+        """Count one check; a failed one records its witness, which may be
+        given as a callable so that it is formatted only on failure."""
         self.checks += 1
         if not condition:
-            self.violations.append((claim, witness))
+            self.violations.append((claim, witness() if callable(witness) else witness))
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -198,27 +203,8 @@ def run_rsk(max_n: int = 8) -> VerifyReport:
             "",
         )
 
-    # failure count and the first three failing permutations
-    validity_bad: list = [0, []]
-    hook_mism: list = [0, []]
-    for n in range(1, max_n + 1):
-        entries = list(range(1, n + 1))
-        for perm in _perms(entries):
-            p_rows, q_rows = _kernels.sch_rows(perm)
-            shape = tuple(len(r) for r in p_rows)
-            if (
-                tuple(len(r) for r in q_rows) != shape
-                or not is_schroeder(shape)
-                or sorted(x for r in p_rows for x in r) != entries
-                or sorted(x for r in q_rows for x in r) != entries
-                or not tableaux.is_standard_rows(p_rows)
-                or not tableaux.is_standard_rows(q_rows)
-            ):
-                _tally(validity_bad, perm)
-            shape_hook = tableaux.is_hook_shape(shape) and sum(shape) >= 2
-            if shape_hook != insertion.has_hook_decomposition(perm):
-                _tally(hook_mism, perm)
-            report.checks += 2
+    visited, validity_bad, hook_mism = _rsk_walk(max_n)
+    report.checks += 2 * visited
     if validity_bad[0]:
         report.findings.append(
             f"insertion validity failed for {validity_bad[0]} permutations "
@@ -241,11 +227,104 @@ def run_rsk(max_n: int = 8) -> VerifyReport:
     return report
 
 
-def _tally(tally: list, item) -> None:
-    """Count ``item`` in ``tally`` = [count, first three items]."""
+def _rsk_walk(max_n: int):
+    """Check the insertion of every permutation of length 1..max_n once, by a
+    depth-first walk of the generating tree of permutations.
+
+    A node of depth k is a permutation of 1..k; its child for v in 1..k+1
+    shifts the values >= v up by one and appends v.  Insertion compares
+    values only, so the child's insertion rows are the parent's under the
+    same shift plus one insertion step, and its recording rows are the
+    parent's plus the cell k+1 in the row the step grew.
+
+    Each node gets the six validity checks and the hook comparison.  The
+    recording rows are standard iff the parent's are and no lower row
+    reaches the square-column of the new cell, which holds the largest
+    entry.  The forced split of ``insertion.has_hook_decomposition`` is
+    carried as prefix flags.  The row side is the root and the values above
+    the root maximum m, so a new row-side value v has rank r = v - m + 2
+    among its L row-side values, and the side keeps the pair form iff r = L
+    for odd L and r >= L - 1 for even L.  The column side is the values
+    1..m, so a new column-side value v keeps it in Av(123, 213) iff v <= 2,
+    that is iff v does not exceed the second-smallest value before it.
+
+    Returns (nodes visited, validity tally, hook-mismatch tally), each tally
+    as kept by ``_tally``.
+    """
+    step = _kernels._sch_step
+    is_standard_rows = tableaux.is_standard_rows
+    entries = [list(range(1, n + 1)) for n in range(max_n + 1)]
+    # shape -> (simple odd parts, hook shape of order >= 2)
+    shape_flags: dict[tuple[int, ...], tuple[bool, bool]] = {}
+    validity_bad: list = [0, []]
+    hook_mism: list = [0, []]
+    visited = 0
+
+    def walk(perm, rows, qrows, q_ok, root_max, row_ok, col_ok):
+        # root_max, the larger root value, is unused below depth 2
+        nonlocal visited
+        n = len(perm) + 1
+        for v in range(1, n + 1):
+            child = [x + (x >= v) for x in perm]
+            child.append(v)
+            p_rows = [[x + (x >= v) for x in r] for r in rows]
+            i = step(p_rows, v)
+            q_rows = [r[:] for r in qrows]
+            if i == len(q_rows):
+                q_rows.append([n])
+            else:
+                q_rows[i].append(n)
+            # 0-based start of the new cell's square-column
+            col = (len(q_rows[i]) - 1) & ~1
+            c_q_ok = q_ok and not (
+                col < len(q_rows[0]) and max(map(len, q_rows[i + 1 :]), default=0) > col
+            )
+
+            if n <= 2:
+                c_root, c_row, c_col = 2, True, True
+            elif v > root_max:
+                size, rank = n - root_max + 2, v - root_max + 2
+                c_root, c_col = root_max, col_ok
+                c_row = row_ok and (rank == size if size % 2 else rank >= size - 1)
+            else:
+                c_root, c_row = root_max + 1, row_ok
+                c_col = col_ok and v <= 2
+
+            shape = tuple(map(len, p_rows))
+            flags = shape_flags.get(shape)
+            if flags is None:
+                flags = shape_flags[shape] = (
+                    is_schroeder(shape),
+                    tableaux.is_hook_shape(shape) and n >= 2,
+                )
+            visited += 1
+            if (
+                tuple(map(len, q_rows)) != shape
+                or not flags[0]
+                or sorted(chain.from_iterable(p_rows)) != entries[n]
+                or sorted(chain.from_iterable(q_rows)) != entries[n]
+                or not is_standard_rows(p_rows)
+                or not c_q_ok
+            ):
+                _tally(validity_bad, tuple(child))
+            if flags[1] != (n >= 2 and c_row and c_col):
+                _tally(hook_mism, tuple(child))
+            if n < max_n:
+                walk(child, p_rows, q_rows, c_q_ok, c_root, c_row, c_col)
+
+    walk([], [], [], True, 0, True, True)
+    return visited, validity_bad, hook_mism
+
+
+def _tally(tally: list, item: tuple) -> None:
+    """Count ``item`` in ``tally`` = [count, the three smallest items by
+    (length, items)], whatever the order items arrive in."""
     tally[0] += 1
-    if tally[0] <= 3:
-        tally[1].append(item)
+    kept = tally[1]
+    if len(kept) < 3 or (len(item), item) < (len(kept[-1]), kept[-1]):
+        kept.append(item)
+        kept.sort(key=lambda p: (len(p), p))
+        del kept[3:]
 
 
 def run_lattice(max_order: int = 15, seed: int = 0) -> VerifyReport:
@@ -381,12 +460,12 @@ def run_sav(max_size: int = 6) -> VerifyReport:
             report.check(
                 f"strong avoidance of the {k}-chain is the height filter",
                 posets.strongly_avoids(q, chain_k) == (posets.height(q) <= k - 1),
-                f"host {q.strict_pairs()}",
+                lambda: f"host {q.strict_pairs()}",
             )
             report.check(
                 f"strong avoidance of the discrete poset of size {k}",
                 posets.strongly_avoids(q, discrete_k) == (q.n <= k - 1),
-                f"host {q.strict_pairs()}",
+                lambda: f"host {q.strict_pairs()}",
             )
             if k >= 2:
                 cover_k = posets.single_cover(k)
@@ -394,7 +473,7 @@ def run_sav(max_size: int = 6) -> VerifyReport:
                 report.check(
                     f"strong avoidance of the single-cover poset of size {k}",
                     posets.strongly_avoids(q, cover_k) == expected,
-                    f"host {q.strict_pairs()}",
+                    lambda: f"host {q.strict_pairs()}",
                 )
 
     patterns = [
@@ -410,7 +489,7 @@ def run_sav(max_size: int = 6) -> VerifyReport:
             report.check(
                 "strong avoidance reduces to induced avoidance of the up-set",
                 lhs == rhs,
-                f"pattern {pat.strict_pairs()}, host {q.strict_pairs()}",
+                lambda: f"pattern {pat.strict_pairs()}, host {q.strict_pairs()}",
             )
 
     small_patterns = [
@@ -451,7 +530,7 @@ def run_sav(max_size: int = 6) -> VerifyReport:
             report.check(
                 "disjoint-union avoidance law",
                 avoid_union == split_ok,
-                f"{pa.strict_pairs()} u {pb.strict_pairs()} in {q.strict_pairs()}",
+                lambda: f"{pa.strict_pairs()} u {pb.strict_pairs()} in {q.strict_pairs()}",
             )
 
             if memo_avoids(q, lsum):
@@ -463,7 +542,7 @@ def run_sav(max_size: int = 6) -> VerifyReport:
                 report.check(
                     "linear-sum avoidance law (ordered partitions)",
                     ordered_ok,
-                    f"{pa.strict_pairs()} + {pb.strict_pairs()} in {q.strict_pairs()}",
+                    lambda: f"{pa.strict_pairs()} + {pb.strict_pairs()} in {q.strict_pairs()}",
                 )
             else:
                 witnessed = any(
@@ -473,7 +552,7 @@ def run_sav(max_size: int = 6) -> VerifyReport:
                 report.check(
                     "linear-sum containment witnessed by weakly ordered partition",
                     witnessed,
-                    f"{pa.strict_pairs()} + {pb.strict_pairs()} in {q.strict_pairs()}",
+                    lambda: f"{pa.strict_pairs()} + {pb.strict_pairs()} in {q.strict_pairs()}",
                 )
 
     connected_patterns = [p for p in patterns if posets.is_connected(p)]
@@ -487,7 +566,7 @@ def run_sav(max_size: int = 6) -> VerifyReport:
                     posets.strongly_avoids(posets.induced_subposet(q, comp), pat)
                     for comp in posets.connected_components(q)
                 ),
-                f"pattern {pat.strict_pairs()}, host {q.strict_pairs()}",
+                lambda: f"pattern {pat.strict_pairs()}, host {q.strict_pairs()}",
             )
 
     return report
@@ -573,7 +652,7 @@ SUITES = {
 
 # the largest depth of each suite that finishes in about a minute on a 2-core
 # host (counts 14: 39 s, 15: 120 s; differential 38: 58 s; lattice 23: 54 s;
-# rsk 9: 7-12 s, and each further n multiplies its S_n sweep by n + 1); the
+# rsk 9: 5 s, and each further n multiplies its S_n walk by n + 1); the
 # poset suites stop where poset enumeration does
 MAX_DEPTH = {
     "counts": 14,

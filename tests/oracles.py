@@ -151,6 +151,38 @@ def brute_sweep_row_col(n):
     return row_count, col_count, row_mismatches, col_mismatches
 
 
+def brute_rsk_failures(max_n):
+    """The rsk suite's validity and hook checks, inserting every permutation
+    of length 1..max_n from scratch in lexicographic order and deciding the
+    hook decomposition by ``insertion.has_hook_decomposition``.
+
+    Returns (validity failures, hook mismatches), each in the order found.
+    """
+    from schroeder import _kernels, insertion, tableaux
+    from schroeder.partitions import is_schroeder
+
+    validity_bad = []
+    hook_mism = []
+    for n in range(1, max_n + 1):
+        entries = list(range(1, n + 1))
+        for perm in permutations(entries):
+            p_rows, q_rows = _kernels.sch_rows(perm)
+            shape = tuple(len(r) for r in p_rows)
+            if (
+                tuple(len(r) for r in q_rows) != shape
+                or not is_schroeder(shape)
+                or sorted(x for r in p_rows for x in r) != entries
+                or sorted(x for r in q_rows for x in r) != entries
+                or not tableaux.is_standard_rows(p_rows)
+                or not tableaux.is_standard_rows(q_rows)
+            ):
+                validity_bad.append(perm)
+            shape_hook = tableaux.is_hook_shape(shape) and sum(shape) >= 2
+            if shape_hook != insertion.has_hook_decomposition(perm):
+                hook_mism.append(perm)
+    return validity_bad, hook_mism
+
+
 def brute_weakly_contains(host, pat):
     """Weak containment by trying every injective assignment."""
     if pat.n > host.n:
