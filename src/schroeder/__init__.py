@@ -6,11 +6,6 @@ correspondence between tableaux and interval orders."""
 from ._kernels import backend
 from .insertion import (
     classify_shape,
-    contains_pattern,
-    avoids,
-    enumerate_av,
-    is_k_rooted_shuffle,
-    is_shuffle,
     rs_insert,
     sch_insert,
 )
@@ -19,7 +14,6 @@ from .partitions import (
     cluster_map,
     enumerate_schroeder_partitions,
     gf_coefficients,
-    is_in_multiplicity_class,
     is_schroeder,
     satisfies_cn_condition,
 )
@@ -43,12 +37,10 @@ from .intervals import (
 )
 from .tableaux import (
     SchroderTableau,
-    chain_to_tableau,
     count_tableaux,
     enumerate_tableaux,
     is_standard,
     render,
-    tableau_to_chain,
 )
 
 __version__ = "0.1.0"
@@ -56,19 +48,15 @@ __version__ = "0.1.0"
 __all__ = [
     "FinitePoset",
     "SchroderTableau",
-    "avoids",
     "backend",
     "build_weak_pattern_poset",
-    "chain_to_tableau",
     "classify_shape",
     "cluster_map",
     "contains_induced",
-    "contains_pattern",
     "count_chains",
     "count_tableaux",
     "CoverSets",
     "covers",
-    "enumerate_av",
     "enumerate_posets",
     "enumerate_schroeder_partitions",
     "enumerate_tableaux",
@@ -77,11 +65,8 @@ __all__ = [
     "has_schroder_preimage",
     "interval_order",
     "intervals_of_tableau",
-    "is_in_multiplicity_class",
     "is_interval_order",
-    "is_k_rooted_shuffle",
     "is_schroeder",
-    "is_shuffle",
     "is_standard",
     "join",
     "leq",
@@ -93,7 +78,6 @@ __all__ = [
     "sch_insert",
     "strongly_avoids",
     "tableau_from_witness",
-    "tableau_to_chain",
     "upset_in_Xn",
     "verify_differential",
     "weakly_contains",

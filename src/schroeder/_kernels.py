@@ -1,4 +1,5 @@
-"""Insertion and pattern-search kernels: the hot loops of the library.
+"""Insertion kernels, the single-row and single-column predicates and the
+S_n sweeps: the hot loops of the library.
 
 Rows of an insertion state are kept sorted, so the bump target is found with
 bisect.
@@ -84,28 +85,6 @@ def rs_rows(values) -> tuple[Rows, Rows]:
             alpha, row[j] = row[j], alpha
             i += 1
     return tuple(tuple(r) for r in rows), tuple(tuple(q) for q in qrows)
-
-
-def contains_pattern(values, pattern) -> bool:
-    """True iff some subsequence of ``values`` is order-isomorphic to ``pattern``."""
-    k = len(pattern)
-    n = len(values)
-    if k == 0:
-        return True
-    if k > n:
-        return False
-    chosen = [0] * k
-
-    def rec(m: int, start: int) -> bool:
-        for idx in range(start, n - (k - m) + 1):
-            v = values[idx]
-            if all((pattern[t] < pattern[m]) == (chosen[t] < v) for t in range(m)):
-                chosen[m] = v
-                if m + 1 == k or rec(m + 1, idx + 1):
-                    return True
-        return False
-
-    return rec(0, 0)
 
 
 def single_row_predicate(values) -> bool:

@@ -183,6 +183,7 @@ def _cmd_intervals(args) -> int:
         )
         return EXIT_OK
     ivs = intervals.intervals_from_json(_load_json(args.file))
+    intervals.check_size(len(ivs))
     order = intervals.interval_order(ivs)
     witness = intervals.has_schroder_preimage(order)
     if witness is None:

@@ -30,6 +30,12 @@ def check_intervals(data: Iterable[Iterable[int]]) -> tuple[Interval, ...]:
     return intervals
 
 
+def check_size(n: int) -> None:
+    """Refuse an interval set or poset too large for the down-set search."""
+    if n > DOWNSET_LIMIT:
+        raise LimitError(f"size {n} exceeds limit {DOWNSET_LIMIT}")
+
+
 def interval_order(intervals: Iterable[Iterable[int]]) -> FinitePoset:
     """Order the intervals by complete precedence: I < J iff max(I) < min(J)."""
     ivs = check_intervals(intervals)
@@ -74,8 +80,7 @@ def intervals_from_json(data: dict) -> tuple[Interval, ...]:
 def grid_downsets(n: int) -> list[Partition]:
     """All n-cell down-sets of the grid, as row-length partitions, enumerated
     by decreasing first-row length."""
-    if n > DOWNSET_LIMIT:
-        raise LimitError(f"size {n} exceeds limit {DOWNSET_LIMIT}")
+    check_size(n)
     return list(partitions_of(n))
 
 
@@ -109,7 +114,10 @@ def has_schroder_preimage(p: FinitePoset) -> Witness | None:
     """A witness down-set weakly contained in ``p``, or None.
 
     A witness exists exactly when some tableau's interval set induces ``p``.
+    The size is checked first, so oversized input is refused before the
+    2+2 test.
     """
+    check_size(p.n)
     if not is_interval_order(p):
         raise ValueError("poset is not an interval order")
     for d in grid_downsets(p.n):

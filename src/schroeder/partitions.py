@@ -7,8 +7,7 @@ the empty tuple is the partition of 0.  All functions are pure.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import LimitError
 
@@ -167,21 +166,6 @@ def gf_coefficients(max_order: int) -> list[int]:
         if odd > max_order and even > max_order:
             break
     return coeffs
-
-
-def unbounded(_: int) -> float:
-    """Multiplicity bound allowing any number of repetitions."""
-    return math.inf
-
-
-def is_in_multiplicity_class(
-    p: Partition, f: Callable[[int], float] = unbounded
-) -> bool:
-    """True iff every part value ``i`` occurs at most ``f(i)`` times in ``p``."""
-    counts: dict[int, int] = {}
-    for part in p:
-        counts[part] = counts.get(part, 0) + 1
-    return all(count <= f(value) for value, count in counts.items())
 
 
 def format_partition(p: Partition) -> str:

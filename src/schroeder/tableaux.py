@@ -16,10 +16,9 @@ saturated chains of shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import LimitError
-from .lattice import covers
 from .partitions import Partition, check_schroeder, order
 
 ORDER_LIMIT = 18
@@ -144,40 +143,6 @@ def count_tableaux(shape: Partition) -> int:
     if order(shape) > ORDER_LIMIT:
         raise LimitError(f"order {order(shape)} exceeds limit {ORDER_LIMIT}")
     return sum(1 for _ in _placements(shape))
-
-
-def chain_to_tableau(chain: Sequence[Partition]) -> SchroderTableau:
-    """Fill cells in the order they are added along a saturated chain from ().
-
-    The cell added at step k receives entry k.
-    """
-    chain = [check_schroeder(p) for p in chain]
-    if not chain or chain[0] != ():
-        raise ValueError("chain must start at the empty partition")
-    rows: list[list[int]] = []
-    for k in range(1, len(chain)):
-        prev, cur = chain[k - 1], chain[k]
-        if cur not in covers(prev).up_covers:
-            raise ValueError(f"chain step {prev} -> {cur} is not a cover")
-        if len(cur) > len(prev):
-            rows.append([k])
-        else:
-            grown = next(i for i in range(len(prev)) if cur[i] != prev[i])
-            rows[grown].append(k)
-    return SchroderTableau(chain[-1], tuple(tuple(r) for r in rows))
-
-
-def tableau_to_chain(t: SchroderTableau) -> list[Partition]:
-    """Shapes of the subfillings with entries 1..k, for k = 0..n."""
-    if not is_standard(t):
-        raise ValueError("tableau is not standard")
-    chain = []
-    for k in range(t.size + 1):
-        shape_k = tuple(
-            count for count in (sum(1 for x in row if x <= k) for row in t.rows) if count
-        )
-        chain.append(shape_k)
-    return chain
 
 
 def is_hook_shape(shape: Partition) -> bool:

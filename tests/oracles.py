@@ -6,7 +6,6 @@ recurrences.  The small predicates and constructors at the end are used by
 tests alone.
 """
 
-import math
 from itertools import combinations, permutations
 
 
@@ -77,6 +76,44 @@ def brute_is_standard(rows):
     return all(a < b for seq in sequences for a, b in zip(seq, seq[1:]))
 
 
+def chain_to_tableau(chain):
+    """Fill cells in the order they are added along a saturated chain of
+    ``lattice.covers`` from (): the cell added at step k receives entry k."""
+    from schroeder.lattice import covers
+    from schroeder.partitions import check_schroeder
+    from schroeder.tableaux import SchroderTableau
+
+    chain = [check_schroeder(p) for p in chain]
+    if not chain or chain[0] != ():
+        raise ValueError("chain must start at the empty partition")
+    rows = []
+    for k in range(1, len(chain)):
+        prev, cur = chain[k - 1], chain[k]
+        if cur not in covers(prev).up_covers:
+            raise ValueError(f"chain step {prev} -> {cur} is not a cover")
+        if len(cur) > len(prev):
+            rows.append([k])
+        else:
+            grown = next(i for i in range(len(prev)) if cur[i] != prev[i])
+            rows[grown].append(k)
+    return SchroderTableau(chain[-1], tuple(tuple(r) for r in rows))
+
+
+def tableau_to_chain(t):
+    """Shapes of the subfillings with entries 1..k, for k = 0..n."""
+    from schroeder.tableaux import is_standard
+
+    if not is_standard(t):
+        raise ValueError("tableau is not standard")
+    chain = []
+    for k in range(t.size + 1):
+        shape_k = tuple(
+            count for count in (sum(1 for x in row if x <= k) for row in t.rows) if count
+        )
+        chain.append(shape_k)
+    return chain
+
+
 def brute_contains_pattern(values, pattern):
     """Pattern containment by scanning all index combinations."""
     k = len(pattern)
@@ -101,13 +138,34 @@ def brute_avoids_123_213(values):
     )
 
 
+def search_contains_pattern(values, pattern):
+    """Pattern containment by a backtracking search that extends a partial
+    occurrence one value at a time, left to right."""
+    k = len(pattern)
+    n = len(values)
+    if k == 0:
+        return True
+    if k > n:
+        return False
+    chosen = [0] * k
+
+    def rec(m, start):
+        for idx in range(start, n - (k - m) + 1):
+            v = values[idx]
+            if all((pattern[t] < pattern[m]) == (chosen[t] < v) for t in range(m)):
+                chosen[m] = v
+                if m + 1 == k or rec(m + 1, idx + 1):
+                    return True
+        return False
+
+    return rec(0, 0)
+
+
 def search_avoids_123_213(values):
     """Av(123, 213) by two backtracking pattern searches."""
-    from schroeder import _kernels
-
-    return not _kernels.contains_pattern(
+    return not search_contains_pattern(
         values, (1, 2, 3)
-    ) and not _kernels.contains_pattern(values, (2, 1, 3))
+    ) and not search_contains_pattern(values, (2, 1, 3))
 
 
 def subset_hook_decomposition(p):
@@ -365,11 +423,6 @@ def is_standard_young(rows):
         if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
             return False
     return True
-
-
-def schroeder_multiplicity(part):
-    """Multiplicity bound of the simple-odd-parts class: 1 for odd, unbounded for even."""
-    return 1 if part % 2 else math.inf
 
 
 def wedge():

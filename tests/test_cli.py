@@ -152,6 +152,18 @@ def test_preimage_answers_in_bounded_time(tmp_path, capsys):
     assert time.monotonic() - t0 < 1
 
 
+def test_preimage_refuses_oversized_input_at_once(tmp_path, capsys):
+    # ordering 5,000 intervals and testing them for 2+2 takes minutes, so
+    # the size limit must be checked before either
+    ivs = tmp_path / "i.json"
+    ivs.write_text(json.dumps({"intervals": [[2 * k + 1, 2 * k + 2] for k in range(5000)]}))
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "intervals", "preimage", str(ivs))
+    assert code == 2 and out == ""
+    assert err == "error: size 5000 exceeds limit 30\n"
+    assert time.monotonic() - t0 < 1
+
+
 @pytest.mark.parametrize(
     "argv,limit",
     [

@@ -83,6 +83,15 @@ def test_grid_downsets():
         grid_downsets(DOWNSET_LIMIT + 1)
 
 
+def test_preimage_checks_size_before_the_2_plus_2_test(monkeypatch):
+    def fail(p):
+        raise AssertionError("is_interval_order ran before the size check")
+
+    monkeypatch.setattr("schroeder.intervals.is_interval_order", fail)
+    with pytest.raises(LimitError, match=f"size {DOWNSET_LIMIT + 1} exceeds limit"):
+        has_schroder_preimage(chain(DOWNSET_LIMIT + 1))
+
+
 def test_preimage_examples():
     assert has_schroder_preimage(antichain(2)) is None
     witness = has_schroder_preimage(chain(2))

@@ -2,11 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (
-    brute_schroeder_partitions,
-    filtered_schroeder_partitions,
-    schroeder_multiplicity,
-)
+from oracles import brute_schroeder_partitions, filtered_schroeder_partitions
 from schroeder.partitions import (
     check_partition,
     cluster_map,
@@ -14,13 +10,11 @@ from schroeder.partitions import (
     enumerate_schroeder_partitions,
     format_partition,
     gf_coefficients,
-    is_in_multiplicity_class,
     is_schroeder,
     order,
     parse_partition,
     partitions_of,
     satisfies_cn_condition,
-    unbounded,
 )
 
 
@@ -94,15 +88,6 @@ def test_gf_against_enumeration():
     assert coeffs[4] == 3
     for k in range(41):
         assert coeffs[k] == len(enumerate_schroeder_partitions(k))
-
-
-def test_multiplicity_class():
-    assert is_in_multiplicity_class((2, 2, 1), unbounded)
-    assert is_in_multiplicity_class((2, 2, 1), schroeder_multiplicity)
-    assert not is_in_multiplicity_class((3, 3), schroeder_multiplicity)
-    for n in range(12):
-        for p in partitions_of(n):
-            assert is_in_multiplicity_class(p, schroeder_multiplicity) == is_schroeder(p)
 
 
 def test_cluster_map_preserves_order_exhaustive():

@@ -3,15 +3,16 @@ import pytest
 from oracles import (
     all_fillings,
     brute_is_standard,
+    chain_to_tableau,
     is_single_column_shape,
     is_single_row_shape,
+    tableau_to_chain,
 )
 from schroeder.errors import LimitError
 from schroeder.lattice import covers
 from schroeder.partitions import enumerate_schroeder_partitions
 from schroeder.tableaux import (
     SchroderTableau,
-    chain_to_tableau,
     count_tableaux,
     enumerate_tableaux,
     is_hook_shape,
@@ -20,7 +21,6 @@ from schroeder.tableaux import (
     lonely_cells,
     render,
     tableau_from_json,
-    tableau_to_chain,
     tableau_to_json,
     twin_pairs,
 )
