@@ -8,26 +8,33 @@ by its row lengths, i.e. a partition.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import Partition, partitions_of
 from .errors import LimitError
 from .posets import FinitePoset, _embedding, contains_induced, two_plus_two
-from .tableaux import SchroderTableau, is_standard, lonely_cells, twin_pairs
+from .tableaux import SchroderTableau, is_standard, lonely_cells
 
 Interval = tuple[int, int]
 
 DOWNSET_LIMIT = 30
 
 
-def check_intervals(data: Iterable[Iterable[int]]) -> tuple[Interval, ...]:
-    intervals = tuple(tuple(iv) for iv in data)
-    for iv in intervals:
-        if len(iv) != 2 or not all(isinstance(x, int) and x >= 1 for x in iv):
+def check_intervals(data: Sequence[Sequence[int]]) -> tuple[Interval, ...]:
+    """The intervals as tuples, each a pair of integers 1 <= a < b; bools and
+    floats are refused, so JSON input reaches the order only as integers."""
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"intervals must be a list of pairs, got {data!r}")
+    for iv in data:
+        if not (
+            isinstance(iv, (list, tuple))
+            and len(iv) == 2
+            and all(type(x) is int and x >= 1 for x in iv)
+        ):
             raise ValueError(f"intervals must be pairs of positive integers, got {iv}")
         if iv[0] >= iv[1]:
             raise ValueError(f"interval endpoints must satisfy a < b, got {iv}")
-    return intervals
+    return tuple(map(tuple, data))
 
 
 def check_size(n: int) -> None:
@@ -36,16 +43,13 @@ def check_size(n: int) -> None:
         raise LimitError(f"size {n} exceeds limit {DOWNSET_LIMIT}")
 
 
-def interval_order(intervals: Iterable[Iterable[int]]) -> FinitePoset:
+def interval_order(intervals: Sequence[Sequence[int]]) -> FinitePoset:
     """Order the intervals by complete precedence: I < J iff max(I) < min(J)."""
     ivs = check_intervals(intervals)
-    pairs = [
-        (i + 1, j + 1)
-        for i, (_, b) in enumerate(ivs)
-        for j, (a, _) in enumerate(ivs)
-        if b < a
-    ]
-    return FinitePoset(len(ivs), pairs)
+    # every interval has a < b, so precedence is irreflexive and transitive
+    # (b < a' < b' < a'' gives b < a''): the masks need no closure
+    up = tuple(sum(1 << j for j, (a, _) in enumerate(ivs) if b < a) for _, b in ivs)
+    return FinitePoset._from_masks(len(ivs), up)
 
 
 def is_interval_order(p: FinitePoset) -> bool:
@@ -59,12 +63,11 @@ def intervals_of_tableau(t: SchroderTableau) -> tuple[Interval, ...]:
     if not is_standard(t):
         raise ValueError("tableau is not standard")
     n = t.size
-    by_cell = {}
-    for i, j in twin_pairs(t.shape):
-        by_cell[(i, 2 * j - 1)] = (t.rows[i][2 * j - 2], t.rows[i][2 * j - 1])
-    for i, p in lonely_cells(t.shape):
-        by_cell[(i, p)] = (t.rows[i][p - 1], n + 1)
-    return tuple(by_cell[cell] for cell in sorted(by_cell))
+    return tuple(
+        (row[j], row[j + 1] if j + 1 < len(row) else n + 1)
+        for row in t.rows
+        for j in range(0, len(row), 2)
+    )
 
 
 def intervals_to_json(intervals: Iterable[Interval]) -> dict:
@@ -93,13 +96,12 @@ def downset_poset(d: Partition) -> FinitePoset:
     """The componentwise order on the cells of the down-set, cells numbered
     row-major."""
     cells = downset_cells(d)
-    pairs = [
-        (i + 1, j + 1)
+    # the componentwise order is a partial order: the masks need no closure
+    up = tuple(
+        sum(1 << j for j, (r2, c2) in enumerate(cells) if j != i and r1 <= r2 and c1 <= c2)
         for i, (r1, c1) in enumerate(cells)
-        for j, (r2, c2) in enumerate(cells)
-        if (r1, c1) != (r2, c2) and r1 <= r2 and c1 <= c2
-    ]
-    return FinitePoset(len(cells), pairs)
+    )
+    return FinitePoset._from_masks(len(cells), up)
 
 
 class Witness(NamedTuple):
@@ -152,10 +154,10 @@ def realize_intervals(p: FinitePoset) -> tuple[Interval, ...]:
     endpoints = sorted(
         [(left[v], 0, v) for v in range(p.n)] + [(right[v], 1, v) for v in range(p.n)]
     )
-    coord = {}
-    for pos, (value, side, v) in enumerate(endpoints, start=1):
-        coord[(side, v)] = pos
-    intervals = tuple((coord[(0, v)], coord[(1, v)]) for v in range(p.n))
+    coord = [[0, 0] for _ in range(p.n)]
+    for pos, (_, side, v) in enumerate(endpoints, start=1):
+        coord[v][side] = pos
+    intervals = tuple(map(tuple, coord))
     rebuilt = interval_order(intervals)
     assert rebuilt.up == p.up, "interval realization failed to reproduce the order"
     return intervals
@@ -177,15 +179,12 @@ def tableau_from_witness(
         if not p.less(mapping[i - 1], mapping[j - 1]):
             raise ValueError("mapping is not order-preserving")
     intervals = realize_intervals(p)
-    rows = []
-    for r, length in enumerate(downset):
-        row = []
-        for c in range(length):
-            a, b = intervals[mapping[cells.index((r + 1, c + 1))] - 1]
-            row.extend([a, b])
-        rows.append(tuple(row))
+    rows: list[list[int]] = [[] for _ in downset]
+    # cells and mapping are both in row-major order
+    for (r, _), x in zip(cells, mapping):
+        rows[r - 1].extend(intervals[x - 1])
     shape = tuple(2 * part for part in downset)
-    t = SchroderTableau(shape, tuple(rows))
+    t = SchroderTableau(shape, rows)
     assert is_standard(t), "witness construction produced a non-standard filling"
     assert not lonely_cells(t.shape)
     return t

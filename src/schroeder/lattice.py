@@ -17,7 +17,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import LimitError
-from .partitions import Partition, check_schroeder, is_schroeder, order
+from .partitions import (
+    Partition,
+    check_schroeder,
+    enumerate_schroeder_partitions,
+    is_schroeder,
+    order,
+)
 
 # The memo holds every valid partition inside the shape, which grows like
 # exp(c * sqrt(order)); the worst shape found at order 64,
@@ -58,52 +64,28 @@ def meet(a: Partition, b: Partition) -> Partition:
     return result
 
 
-def _up_free_indices(p: Partition) -> list[int]:
-    free = []
-    for i, part in enumerate(p):
-        if part % 2:
-            free.append(i)
-        else:
-            above = p[i - 1] if i > 0 else None
-            if above is None or above not in (part, part + 1):
-                free.append(i)
-    return free
-
-
-def _down_free_indices(p: Partition) -> list[int]:
-    free = []
-    for i, part in enumerate(p):
-        if part % 2:
-            free.append(i)
-        else:
-            below = p[i + 1] if i + 1 < len(p) else 0
-            if below not in (part, part - 1):
-                free.append(i)
-    return free
-
-
 def covers(p: Partition) -> CoverSets:
-    """Up and down covers of ``p`` in the lattice.
+    """Up and down covers of ``p`` in the lattice, each tuple lexicographically
+    decreasing.
 
     Up covers add 1 to an up-free part (or append a new part 1 when allowed);
-    down covers subtract 1 from a down-free part.
+    down covers subtract 1 from a down-free part.  Editing the parts left to
+    right yields the up covers in decreasing order, the appended part 1 last,
+    and the down covers in increasing order.
     """
     p = check_schroeder(p)
     ups = []
-    for i in _up_free_indices(p):
-        q = p[:i] + (p[i] + 1,) + p[i + 1 :]
-        ups.append(q)
+    downs = []
+    for i, part in enumerate(p):
+        # parts do not increase, so "neither part nor part+1 above" and
+        # "neither part nor part-1 below" are strict gaps
+        if part % 2 or i == 0 or p[i - 1] > part + 1:
+            ups.append(p[:i] + (part + 1,) + p[i + 1 :])
+        if part % 2 or (p[i + 1] if i + 1 < len(p) else 0) < part - 1:
+            downs.append(p[:i] + ((part - 1,) if part > 1 else ()) + p[i + 1 :])
     if not p or p[-1] != 1:
         ups.append(p + (1,))
-    downs = []
-    for i in _down_free_indices(p):
-        if p[i] == 1:
-            q = p[:i] + p[i + 1 :]
-        else:
-            q = p[:i] + (p[i] - 1,) + p[i + 1 :]
-        downs.append(q)
-    ups = sorted(set(ups), reverse=True)
-    downs = sorted(set(downs), reverse=True)
+    downs.reverse()
     for q in ups + downs:
         assert is_schroeder(q), f"cover of {p} is not valid: {q}"
     return CoverSets(tuple(ups), tuple(downs))
@@ -143,17 +125,18 @@ def verify_differential(max_order: int) -> DifferentialReport:
     and that distinct partitions of equal order have as many common up covers
     as common down covers.
     """
-    from .partitions import enumerate_schroeder_partitions
-
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     report = DifferentialReport()
     for n in range(1, max_order + 1):
-        layer = enumerate_schroeder_partitions(n)
-        layer_covers = {p: covers(p) for p in layer}
-        for p, cs in layer_covers.items():
-            k = len(cs.down_covers)
-            l = len(cs.up_covers)
+        # each partition's cover sets, built once for all its pairs
+        layer = []
+        for p in enumerate_schroeder_partitions(n):
+            cs = covers(p)
+            ups, downs = set(cs.up_covers), set(cs.down_covers)
+            layer.append((p, ups, downs))
+            k = len(downs)
+            l = len(ups)
             low = (k + 2) // 2  # ceil((k+1)/2)
             high = 2 * k
             report.partitions_checked += 1
@@ -168,12 +151,10 @@ def verify_differential(max_order: int) -> DifferentialReport:
                 report.violations.append(
                     f"degree bounds fail at {p}: k={k}, l={l}, want [{low},{high}]"
                 )
-        for i, p in enumerate(layer):
-            ups_p = set(layer_covers[p].up_covers)
-            downs_p = set(layer_covers[p].down_covers)
-            for q in layer[i + 1 :]:
-                common_up = len(ups_p & set(layer_covers[q].up_covers))
-                common_down = len(downs_p & set(layer_covers[q].down_covers))
+        for i, (p, ups_p, downs_p) in enumerate(layer):
+            for q, ups_q, downs_q in layer[i + 1 :]:
+                common_up = len(ups_p & ups_q)
+                common_down = len(downs_p & downs_q)
                 report.pairs_checked += 1
                 if common_up != common_down:
                     report.violations.append(

@@ -88,12 +88,7 @@ class FinitePoset:
 
     def strict_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(
-            sorted(
-                (i + 1, j + 1)
-                for i in range(self.n)
-                for j in range(self.n)
-                if self.up[i] >> j & 1
-            )
+            (i + 1, j + 1) for i in range(self.n) for j in range(self.n) if self.up[i] >> j & 1
         )
 
     def pair_count(self) -> int:
@@ -188,10 +183,18 @@ def _canonical_masks(n: int, up: Masks) -> Masks:
 def poset_from_json(data: dict) -> FinitePoset:
     if not isinstance(data, dict) or "size" not in data:
         raise ValueError("poset JSON must be an object with 'size' and 'relations'")
-    pairs = [tuple(pair) for pair in data.get("relations", [])]
-    if any(len(pair) != 2 for pair in pairs):
-        raise ValueError("relations must be pairs")
-    return FinitePoset(int(data["size"]), pairs)
+    size, relations = data["size"], data.get("relations", [])
+    if type(size) is not int or size < 0:
+        raise ValueError(f"poset size must be a nonnegative integer, got {size!r}")
+    if size > SIZE_LIMIT:
+        raise LimitError(f"size {size} exceeds limit {SIZE_LIMIT}")
+    # bool and float entries are refused by type, as a JSON 2.0 equals 2
+    if not isinstance(relations, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)
+        for pair in relations
+    ):
+        raise ValueError("relations must be a list of pairs of integers")
+    return FinitePoset(size, [tuple(pair) for pair in relations])
 
 
 def poset_to_json(p: FinitePoset) -> dict:
@@ -469,27 +472,20 @@ class WeakPatternPoset:
 def build_weak_pattern_poset(n: int) -> WeakPatternPoset:
     elements = tuple(enumerate_posets(n, labeled=False))
     k = len(elements)
-    leq = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                leq[i][j] = True
-            else:
-                leq[i][j] = weakly_contains(elements[j], elements[i])
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not leq[i][j]:
-                continue
-            if any(leq[i][m] and leq[m][j] for m in range(k) if m != i and m != j):
-                continue
-            edges.append((i, j))
-    return WeakPatternPoset(
-        n=n,
-        elements=elements,
-        leq=tuple(tuple(row) for row in leq),
-        hasse_edges=tuple(sorted(edges)),
+    leq = tuple(
+        tuple(i == j or weakly_contains(elements[j], elements[i]) for j in range(k))
+        for i in range(k)
     )
+    # (i, j) in increasing order: a pair with nothing strictly between
+    edges = tuple(
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j
+        and leq[i][j]
+        and not any(leq[i][m] and leq[m][j] for m in range(k) if m != i and m != j)
+    )
+    return WeakPatternPoset(n=n, elements=elements, leq=leq, hasse_edges=edges)
 
 
 def sav_count(n: int, pattern: FinitePoset, labeled: bool = True) -> int:

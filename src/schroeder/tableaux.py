@@ -54,11 +54,6 @@ class SchroderTableau:
         return order(self.shape)
 
 
-def twin_pairs(shape: Partition) -> list[tuple[int, int]]:
-    """Twin pairs as (row, square-column), one per complete square."""
-    return [(i, j) for i, length in enumerate(shape) for j in range(1, length // 2 + 1)]
-
-
 def lonely_cells(shape: Partition) -> list[tuple[int, int]]:
     """Lonely cells as (row, position); one per odd-length row."""
     return [(i, length) for i, length in enumerate(shape) if length % 2]
@@ -173,8 +168,19 @@ def tableau_to_json(t: SchroderTableau) -> dict:
 def tableau_from_json(data: dict) -> SchroderTableau:
     if not isinstance(data, dict) or "rows" not in data:
         raise ValueError("tableau JSON must be an object with a 'rows' field")
-    rows = tuple(tuple(r) for r in data["rows"])
-    shape = tuple(data.get("shape", [len(r) for r in rows]))
+    rows = data["rows"]
+    if not isinstance(rows, list) or not all(_int_list(r) for r in rows):
+        raise ValueError("tableau rows must be a list of lists of integers")
+    shape = data.get("shape", [len(r) for r in rows])
+    if not _int_list(shape):
+        raise ValueError("tableau shape must be a list of integers")
+    rows, shape = tuple(map(tuple, rows)), tuple(shape)
     if shape != tuple(len(r) for r in rows):
         raise ValueError(f"declared shape {shape} does not match rows")
     return SchroderTableau(shape, rows)
+
+
+def _int_list(value) -> bool:
+    # bool is a subclass of int, and JSON floats such as 2.0 compare equal
+    # to ints, so both are refused by type
+    return isinstance(value, list) and all(type(x) is int for x in value)

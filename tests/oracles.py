@@ -358,6 +358,50 @@ def pairs_induced_subposet(p, elements):
     return FinitePoset(len(elems), pairs)
 
 
+def pairs_interval_order(intervals):
+    """Complete precedence of intervals through strict pairs and
+    ``FinitePoset(n, pairs)``, which closes the relation and checks it for
+    cycles."""
+    from schroeder.posets import FinitePoset
+
+    ivs = [tuple(iv) for iv in intervals]
+    pairs = [
+        (i + 1, j + 1)
+        for i, (_, b) in enumerate(ivs)
+        for j, (a, _) in enumerate(ivs)
+        if b < a
+    ]
+    return FinitePoset(len(ivs), pairs)
+
+
+def pairs_downset_poset(d):
+    """The componentwise order on the row-major cells of a down-set, through
+    strict pairs."""
+    from schroeder.posets import FinitePoset
+
+    cells = [(r + 1, c + 1) for r, length in enumerate(d) for c in range(length)]
+    pairs = [
+        (i + 1, j + 1)
+        for i, (r1, c1) in enumerate(cells)
+        for j, (r2, c2) in enumerate(cells)
+        if (r1, c1) != (r2, c2) and r1 <= r2 and c1 <= c2
+    ]
+    return FinitePoset(len(cells), pairs)
+
+
+def cell_intervals_of_tableau(t):
+    """One interval per twin pair (its two entries) and one per lonely cell
+    (its entry paired with n+1), keyed by (row, position) and sorted."""
+    n = t.size
+    by_cell = {}
+    for i, length in enumerate(t.shape):
+        for j in range(1, length // 2 + 1):
+            by_cell[(i, 2 * j - 1)] = (t.rows[i][2 * j - 2], t.rows[i][2 * j - 1])
+        if length % 2:
+            by_cell[(i, length)] = (t.rows[i][length - 1], n + 1)
+    return tuple(by_cell[cell] for cell in sorted(by_cell))
+
+
 def brute_first_witness(p):
     """The first (down-set, mapping) for a poset ``p``: down-sets with p.n
     cells in lexicographically decreasing order of their row lengths, and

@@ -7,6 +7,7 @@ from schroeder import cli, verify
 from schroeder.cli import main
 from schroeder.insertion import PERMUTATION_LIMIT
 from schroeder.partitions import ENUMERATION_LIMIT, GF_LIMIT
+from schroeder.posets import SIZE_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +163,45 @@ def test_preimage_refuses_oversized_input_at_once(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "error: size 5000 exceeds limit 30\n"
     assert time.monotonic() - t0 < 1
+
+
+SAV_PATTERN = ("posets", "sav", "--size", "3", "--pattern")
+
+
+@pytest.mark.parametrize(
+    "command,data",
+    [
+        (("intervals", "from-tableau"), {"rows": 3}),
+        (("intervals", "from-tableau"), {"rows": [[1, "a"]]}),
+        (("intervals", "from-tableau"), {"rows": [[1, 2.0]]}),
+        (("intervals", "from-tableau"), {"rows": [[1, 2]], "shape": 2}),
+        (("intervals", "preimage"), {"intervals": 1}),
+        (("intervals", "preimage"), {"intervals": [[True, 2]]}),
+        (("intervals", "preimage"), {"intervals": [[1, 2.0]]}),
+        (SAV_PATTERN, {"size": -2, "relations": []}),
+        (SAV_PATTERN, {"size": 3, "relations": [[1, 2.5]]}),
+        (SAV_PATTERN, {"size": 3, "relations": [["a", 2]]}),
+        (SAV_PATTERN, {"size": 3, "relations": 5}),
+        (SAV_PATTERN, {"size": 3, "relations": None}),
+        (SAV_PATTERN, {"size": None}),
+        (SAV_PATTERN, {"size": 2.7}),
+        (SAV_PATTERN, {"size": "3"}),
+        (SAV_PATTERN, {"size": 10**6}),
+    ],
+)
+def test_malformed_json_is_an_input_error(tmp_path, capsys, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_pattern_above_the_size_limit_is_refused(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"size": 10**6, "relations": [[1, 2]]}))
+    code, _, err = run_cli(capsys, *SAV_PATTERN, str(path))
+    assert code == 2 and err == f"error: size {10**6} exceeds limit {SIZE_LIMIT}\n"
 
 
 @pytest.mark.parametrize(

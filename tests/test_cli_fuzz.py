@@ -1,7 +1,7 @@
 """Fuzz the command line with generated subcommands, arguments and JSON input
 files.  Every call must exit with 0, 1 or 2 (an argparse usage error counts
-as 2), exit 1 only from ``verify``, print no traceback and return within
-2 s.
+as 2), exit 1 only from ``verify``, print no traceback, report no internal
+error and return within 2 s.
 
 Sizes come from a small range or from far above each limit, so that a call
 either answers at once or is refused: permutations have at most 14 values
@@ -216,4 +216,5 @@ def test_cli_keeps_its_contract(command):
     assert code in (0, 1, 2), (argv, code, err)
     assert code != 1 or "verify" in argv, (argv, err)
     assert "Traceback" not in err, (argv, err)
+    assert "internal error" not in err, (argv, err)
     assert elapsed < 2, (argv, elapsed)

@@ -1,8 +1,16 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_first_witness
+from oracles import (
+    brute_first_witness,
+    cell_intervals_of_tableau,
+    pairs_downset_poset,
+    pairs_interval_order,
+)
 from schroeder.errors import LimitError
 from schroeder.intervals import (
     DOWNSET_LIMIT,
@@ -18,7 +26,7 @@ from schroeder.intervals import (
     realize_intervals,
     tableau_from_witness,
 )
-from schroeder.partitions import enumerate_schroeder_partitions
+from schroeder.partitions import enumerate_schroeder_partitions, partitions_of
 from schroeder.posets import (
     antichain,
     chain,
@@ -51,6 +59,23 @@ def test_interval_order_examples():
         interval_order([(3, 2)])
 
 
+def test_interval_order_matches_pairs_oracle():
+    # every list of at most 3 intervals with endpoints in 1..7, then seeded
+    # sets of 4..30 intervals
+    pool = [(a, b) for a in range(1, 8) for b in range(a + 1, 8)]
+    for k in range(4):
+        for ivs in itertools.product(pool, repeat=k):
+            assert interval_order(ivs).up == pairs_interval_order(ivs).up, ivs
+    rng = random.Random(0)
+    for _ in range(500):
+        n = rng.randint(4, 30)
+        ivs = []
+        for _ in range(n):
+            a = rng.randint(1, 3 * n)
+            ivs.append((a, a + rng.randint(1, n)))
+        assert interval_order(ivs).up == pairs_interval_order(ivs).up, ivs
+
+
 def test_is_interval_order():
     assert not is_interval_order(two_plus_two())
     assert is_interval_order(chain(4))
@@ -71,6 +96,13 @@ def test_intervals_of_tableau_examples():
         intervals_of_tableau(SchroderTableau((2, 1), ((1, 3), (2,))))
 
 
+def test_intervals_of_tableau_matches_cell_oracle():
+    for n in range(11):
+        for shape in enumerate_schroeder_partitions(n):
+            for t in enumerate_tableaux(shape):
+                assert intervals_of_tableau(t) == cell_intervals_of_tableau(t), t.rows
+
+
 def test_grid_downsets():
     assert grid_downsets(1) == [(1,)]
     assert len(grid_downsets(3)) == 3
@@ -81,6 +113,12 @@ def test_grid_downsets():
     assert p.strict_pairs() == ((1, 2), (1, 3))
     with pytest.raises(LimitError):
         grid_downsets(DOWNSET_LIMIT + 1)
+
+
+def test_downset_poset_matches_pairs_oracle():
+    for n in range(13):
+        for d in partitions_of(n):
+            assert downset_poset(d).up == pairs_downset_poset(d).up, d
 
 
 def test_preimage_checks_size_before_the_2_plus_2_test(monkeypatch):

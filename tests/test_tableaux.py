@@ -22,7 +22,6 @@ from schroeder.tableaux import (
     render,
     tableau_from_json,
     tableau_to_json,
-    twin_pairs,
 )
 
 
@@ -36,7 +35,6 @@ def test_construction_validation():
 
 
 def test_geometry():
-    assert twin_pairs((4, 3, 2)) == [(0, 1), (0, 2), (1, 1), (2, 1)]
     assert lonely_cells((4, 3, 2)) == [(1, 3)]
 
 

@@ -149,12 +149,12 @@ def test_check_formats_a_callable_witness_only_on_failure():
     report.check("holds", True, witness)
     assert formatted == []
     report.check("fails", False, witness)
-    report.check("fails eagerly", False, "host ((1, 2),)")
+    report.check("fails without witness", False)
     assert formatted == [1]
     assert report.checks == 3
     assert report.violations == [
         ("fails", "host ((1, 2),)"),
-        ("fails eagerly", "host ((1, 2),)"),
+        ("fails without witness", ""),
     ]
 
 
