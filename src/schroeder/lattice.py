@@ -12,6 +12,7 @@ computed from the up-free/down-free classification of parts:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -41,16 +42,14 @@ class CoverSets(NamedTuple):
 
 def leq(a: Partition, b: Partition) -> bool:
     """True iff the diagram of ``a`` fits inside the diagram of ``b``."""
-    return len(a) <= len(b) and all(x <= y for x, y in zip(a, b))
+    return len(a) <= len(b) and all(map(operator.le, a, b))
 
 
 def join(a: Partition, b: Partition) -> Partition:
     """Partwise maximum.  Inputs must have simple odd parts; so does the result."""
     a = check_schroeder(a)
     b = check_schroeder(b)
-    if len(a) < len(b):
-        a, b = b, a
-    result = tuple(max(x, y) for x, y in zip(a, b)) + a[len(b) :]
+    result = _join(a, b)
     assert is_schroeder(result), f"join closure violated: {a} v {b} = {result}"
     return result
 
@@ -59,21 +58,40 @@ def meet(a: Partition, b: Partition) -> Partition:
     """Partwise minimum, truncated to the common length."""
     a = check_schroeder(a)
     b = check_schroeder(b)
-    result = tuple(min(x, y) for x, y in zip(a, b))
+    result = _meet(a, b)
     assert is_schroeder(result), f"meet closure violated: {a} ^ {b} = {result}"
     return result
 
 
+# The private helpers trust their inputs to be partition tuples with simple
+# odd parts; the public functions above and below validate at the boundary.
+
+def _join(a: Partition, b: Partition) -> Partition:
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(max, a, b)) + a[len(b) :]
+
+
+def _meet(a: Partition, b: Partition) -> Partition:
+    return tuple(map(min, a, b))
+
+
 def covers(p: Partition) -> CoverSets:
     """Up and down covers of ``p`` in the lattice, each tuple lexicographically
-    decreasing.
-
-    Up covers add 1 to an up-free part (or append a new part 1 when allowed);
-    down covers subtract 1 from a down-free part.  Editing the parts left to
-    right yields the up covers in decreasing order, the appended part 1 last,
-    and the down covers in increasing order.
-    """
+    decreasing."""
     p = check_schroeder(p)
+    cs = _covers(p)
+    for q in cs.up_covers + cs.down_covers:
+        assert is_schroeder(q), f"cover of {p} is not valid: {q}"
+    return cs
+
+
+def _covers(p: Partition) -> CoverSets:
+    """Up covers add 1 to an up-free part (or append a new part 1 when
+    allowed); down covers subtract 1 from a down-free part.  Editing the
+    parts left to right yields the up covers in decreasing order, the
+    appended part 1 last, and the down covers in increasing order.
+    """
     ups = []
     downs = []
     for i, part in enumerate(p):
@@ -86,21 +104,23 @@ def covers(p: Partition) -> CoverSets:
     if not p or p[-1] != 1:
         ups.append(p + (1,))
     downs.reverse()
-    for q in ups + downs:
-        assert is_schroeder(q), f"cover of {p} is not valid: {q}"
     return CoverSets(tuple(ups), tuple(downs))
 
 
-@lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def count_chains(p: Partition) -> int:
     """Number of saturated chains from the empty partition up to ``p``, for
     orders up to CHAIN_ORDER_LIMIT."""
     p = check_schroeder(p)
     if order(p) > CHAIN_ORDER_LIMIT:
         raise LimitError(f"order {order(p)} exceeds limit {CHAIN_ORDER_LIMIT}")
+    return _count_chains(p)
+
+
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
+def _count_chains(p: Partition) -> int:
     if not p:
         return 1
-    return sum(count_chains(q) for q in covers(p).down_covers)
+    return sum(map(_count_chains, _covers(p).down_covers))
 
 
 @dataclass
@@ -132,7 +152,7 @@ def verify_differential(max_order: int) -> DifferentialReport:
         # each partition's cover sets, built once for all its pairs
         layer = []
         for p in enumerate_schroeder_partitions(n):
-            cs = covers(p)
+            cs = _covers(p)
             ups, downs = set(cs.up_covers), set(cs.down_covers)
             layer.append((p, ups, downs))
             k = len(downs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LimitError
@@ -376,6 +376,28 @@ def _embedding(
     return tuple(image) if rec(0, (1 << host.n) - 1) else None
 
 
+def _induced_form_mask(
+    q: FinitePoset, pattern_bit: dict, max_k: int, memo: dict
+) -> int:
+    """The union of ``pattern_bit[form]`` over the canonical forms of the
+    induced subposets of ``q`` on 1..max_k elements, so ``q`` contains a
+    pattern induced iff the pattern's bit is set.  ``pattern_bit`` holds
+    every form of those sizes; ``memo`` maps labeled masks to their bit."""
+    up = q.up
+    mask = 0
+    for k in range(1, min(max_k, q.n) + 1):
+        for elems in combinations(range(q.n), k):
+            sub = tuple(
+                sum(1 << b for b, f in enumerate(elems) if up[e] >> f & 1)
+                for e in elems
+            )
+            bit = memo.get(sub)
+            if bit is None:
+                bit = memo[sub] = pattern_bit[k, _canonical_masks(k, sub)]
+            mask |= bit
+    return mask
+
+
 def contains_induced(q: FinitePoset, p: FinitePoset) -> bool:
     """True iff ``p`` embeds into ``q`` order-preservingly and order-reflectingly."""
     return _embedding(q, p, induced=True) is not None
@@ -394,16 +416,19 @@ def strongly_avoids(q: FinitePoset, p: FinitePoset) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _down_sets(n: int, down: Masks) -> list[int]:
+    """Every subset of 0..n-1 closed downward under ``down``, as a mask."""
+    return [s for s in range(1 << n) if all(down[v] & ~s == 0 for v in _bits(s))]
+
+
 def _extensions(smaller_masks: Iterable[Masks], n: int) -> Iterator[Masks]:
     """Every poset on n elements whose first n-1 elements induce one of
     ``smaller_masks``: the new element goes above a down-set and below an
     up-set, with everything below it below everything above it."""
     bit_new = 1 << (n - 1)
     for up in smaller_masks:
-        down = _down_masks(n - 1, up)
-        subsets = range(1 << (n - 1))
-        ideals = [s for s in subsets if all(down[v] & ~s == 0 for v in _bits(s))]
-        filters = [s for s in subsets if all(up[v] & ~s == 0 for v in _bits(s))]
+        ideals = _down_sets(n - 1, _down_masks(n - 1, up))
+        filters = _down_sets(n - 1, up)  # up-sets are down-sets of the dual
         for d in ideals:
             for u in filters:
                 if d & u:
@@ -424,10 +449,25 @@ def _labeled_masks(n: int) -> tuple[Masks, ...]:
 
 @lru_cache(maxsize=None)
 def _unlabeled_masks(n: int) -> tuple[Masks, ...]:
+    """The canonical masks of every poset of size n, sorted.
+
+    Every nonempty finite poset has a maximal element, and deleting it
+    leaves a poset on n-1 elements in which its down-set is a down-set.  So
+    each isomorphism class of size n arises from a canonical poset of size
+    n-1 and one new maximal element placed above one of its down-sets: the
+    one-point extension of Brinkmann and McKay, "Posets on up to 16
+    points", Order 19 (2002), restricted to a new element with empty
+    up-set.  Canonical forms then merge the isomorphic extensions.
+    """
     if n == 0:
         return ((),)
-    extended = _extensions(_unlabeled_masks(n - 1), n)
-    return tuple(sorted({_canonical_masks(n, up) for up in extended}))
+    bit_new = 1 << (n - 1)
+    forms = set()
+    for up in _unlabeled_masks(n - 1):
+        for d in _down_sets(n - 1, _down_masks(n - 1, up)):
+            new_up = tuple(m | bit_new if d >> v & 1 else m for v, m in enumerate(up))
+            forms.add(_canonical_masks(n, new_up + (0,)))
+    return tuple(sorted(forms))
 
 
 def enumerate_posets(n: int, labeled: bool = True) -> list[FinitePoset]:

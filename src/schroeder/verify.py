@@ -333,16 +333,18 @@ def run_lattice(max_order: int = 15, seed: int = 0) -> VerifyReport:
     universe = [
         p for n in range(max_order + 1) for p in enumerate_schroeder_partitions(n)
     ]
+    # the universe holds valid partitions only, so the unchecked helpers apply
+    join, meet, leq = lattice._join, lattice._meet, lattice.leq
     for a in universe:
         for b in universe:
-            j = lattice.join(a, b)
-            m = lattice.meet(a, b)
+            j = join(a, b)
+            m = meet(a, b)
             report.check(
-                "join closure", is_schroeder(j) and lattice.leq(a, j) and lattice.leq(b, j),
+                "join closure", is_schroeder(j) and leq(a, j) and leq(b, j),
                 lambda: f"{a} v {b}",
             )
             report.check(
-                "meet closure", is_schroeder(m) and lattice.leq(m, a) and lattice.leq(m, b),
+                "meet closure", is_schroeder(m) and leq(m, a) and leq(m, b),
                 lambda: f"{a} ^ {b}",
             )
 
@@ -351,14 +353,12 @@ def run_lattice(max_order: int = 15, seed: int = 0) -> VerifyReport:
         a, b, c = (rng.choice(universe) for _ in range(3))
         report.check(
             "distributivity",
-            lattice.join(a, lattice.meet(b, c))
-            == lattice.meet(lattice.join(a, b), lattice.join(a, c)),
+            join(a, meet(b, c)) == meet(join(a, b), join(a, c)),
             lambda: f"{a}, {b}, {c}",
         )
         report.check(
             "absorption",
-            lattice.join(a, lattice.meet(a, b)) == a
-            and lattice.meet(a, lattice.join(a, b)) == a,
+            join(a, meet(a, b)) == a and meet(a, join(a, b)) == a,
             lambda: f"{a}, {b}",
         )
 
@@ -474,14 +474,25 @@ def run_sav(max_size: int = 6) -> VerifyReport:
         for n in range(1, min(max_size, 4) + 1)
         for p in posets.enumerate_posets(n, labeled=False)
     ]
+    # bit i of a mask stands for patterns[i], keyed by its canonical masks
+    pattern_bit = {(p.n, p.up): 1 << i for i, p in enumerate(patterns)}
+    form_memo: dict[posets.Masks, int] = {}
+    host_masks = [
+        posets._induced_form_mask(q, pattern_bit, min(max_size, 4), form_memo)
+        for q in hosts
+    ]
+    # avoided[i][h]: whether hosts[h] strongly avoids patterns[i]
+    avoided = []
     for pat in patterns:
-        upset = posets.upset_in_Xn(pat)
-        for q in hosts:
-            lhs = posets.strongly_avoids(q, pat)
-            rhs = not any(posets.contains_induced(q, r) for r in upset)
+        upset_mask = 0
+        for r in posets.upset_in_Xn(pat):
+            upset_mask |= pattern_bit[r.n, r.up]
+        row = [posets.strongly_avoids(q, pat) for q in hosts]
+        avoided.append(row)
+        for q, lhs, host_mask in zip(hosts, row, host_masks):
             report.check(
                 "strong avoidance reduces to induced avoidance of the up-set",
-                lhs == rhs,
+                lhs == (not upset_mask & host_mask),
                 lambda: f"pattern {pat.strict_pairs()}, host {q.strict_pairs()}",
             )
 
@@ -548,10 +559,11 @@ def run_sav(max_size: int = 6) -> VerifyReport:
                     lambda: f"{pa.strict_pairs()} + {pb.strict_pairs()} in {q.strict_pairs()}",
                 )
 
-    connected_patterns = [p for p in patterns if posets.is_connected(p)]
-    for pat in connected_patterns:
-        for q in hosts:
-            if not posets.strongly_avoids(q, pat):
+    for pat, row in zip(patterns, avoided):
+        if not posets.is_connected(pat):
+            continue
+        for q, avoids in zip(hosts, row):
+            if not avoids:
                 continue
             report.check(
                 "components of an avoider avoid a connected pattern",
@@ -645,13 +657,14 @@ SUITES = {
 
 # the largest depth of each suite that finishes in about a minute on a 2-core
 # host (counts 14: 39 s, 15: 120 s; differential 38: 13-16 s; lattice 23:
-# 54 s; rsk 9: 5 s, and each further n multiplies its S_n walk by n + 1); the
-# poset suites stop where poset enumeration does
+# 10-14 s, 25: 26-31 s, 26: 43 s, its pair loop growing with the square of
+# the partition count; rsk 9: 5 s, and each further n multiplies its S_n
+# walk by n + 1); the poset suites stop where poset enumeration does
 MAX_DEPTH = {
     "counts": 14,
     "differential": 38,
     "rsk": 9,
-    "lattice": 23,
+    "lattice": 25,
     "sav": posets.SIZE_LIMIT,
     "interval-theorem": posets.SIZE_LIMIT,
 }

@@ -358,6 +358,26 @@ def pairs_induced_subposet(p, elements):
     return FinitePoset(len(elems), pairs)
 
 
+def extension_unlabeled_masks(n):
+    """The canonical masks of the posets of size n, sorted, from every
+    one-point extension of the size n-1 classes: the new element above any
+    down-set and below any compatible up-set."""
+    from schroeder.posets import _canonical_masks, _extensions
+
+    if n == 0:
+        return ((),)
+    extended = _extensions(extension_unlabeled_masks(n - 1), n)
+    return tuple(sorted({_canonical_masks(n, up) for up in extended}))
+
+
+def search_upset_avoided(q, upset):
+    """True iff ``q`` contains no poset of ``upset`` induced, by one
+    embedding search per poset."""
+    from schroeder.posets import contains_induced
+
+    return not any(contains_induced(q, r) for r in upset)
+
+
 def pairs_interval_order(intervals):
     """Complete precedence of intervals through strict pairs and
     ``FinitePoset(n, pairs)``, which closes the relation and checks it for

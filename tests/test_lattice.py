@@ -3,6 +3,8 @@ import random
 import pytest
 
 from oracles import brute_down_covers, brute_up_covers
+from schroeder import lattice
+from schroeder.errors import LimitError
 from schroeder.lattice import (
     count_chains,
     covers,
@@ -35,6 +37,18 @@ def test_join_meet_examples():
         join((4, 3), (3, 3))
     with pytest.raises(ValueError):
         meet((3, 3), (4, 3))
+    with pytest.raises(ValueError):
+        covers((3, 3))
+    with pytest.raises(ValueError):
+        covers([2, 1, 1])
+
+
+def test_unchecked_join_meet_equal_public():
+    universe = [p for n in range(13) for p in enumerate_schroeder_partitions(n)]
+    for a in universe:
+        for b in universe:
+            assert lattice._join(a, b) == join(a, b), (a, b)
+            assert lattice._meet(a, b) == meet(a, b), (a, b)
 
 
 def test_cover_examples():
@@ -86,9 +100,19 @@ def test_chain_counts():
     assert count_chains((3, 1)) == 2
 
 
+def test_chain_count_validates_at_the_boundary():
+    assert count_chains([2, 1]) == 1
+    with pytest.raises(ValueError):
+        count_chains([3, 3, 2])
+    with pytest.raises(ValueError):
+        count_chains((2, 3))
+    with pytest.raises(LimitError):
+        count_chains((65,))
+
+
 def test_chain_memo_is_bounded():
     # bounded, yet above the 69,473 sub-partitions of the worst order-64 shape
-    maxsize = count_chains.cache_info().maxsize
+    maxsize = lattice._count_chains.cache_info().maxsize
     assert maxsize is not None and maxsize >= 69473
 
 

@@ -4,16 +4,20 @@ from oracles import (
     bell_by_binomial,
     brute_contains_induced,
     brute_weakly_contains,
+    extension_unlabeled_masks,
     pairs_disjoint_union,
     pairs_induced_subposet,
     pairs_linear_sum,
     pairwise_embedding,
+    search_upset_avoided,
     wedge,
 )
 from schroeder.errors import LimitError
 from schroeder.posets import (
     FinitePoset,
     _embedding,
+    _induced_form_mask,
+    _unlabeled_masks,
     antichain,
     build_weak_pattern_poset,
     chain,
@@ -80,6 +84,33 @@ def test_enumeration_counts():
     ]
     with pytest.raises(LimitError):
         enumerate_posets(7)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_unlabeled_generation_matches_full_extensions(n):
+    """Growing by one maximal element gives the same sorted classes as
+    every one-point extension."""
+    assert _unlabeled_masks(n) == extension_unlabeled_masks(n)
+
+
+def test_upset_masks_match_embedding_search():
+    """The sav up-set law's mask test agrees with one induced search per
+    up-set member: all 24 patterns of size <= 4 on all 405 hosts of size
+    <= 6."""
+    patterns = [p for n in range(1, 5) for p in enumerate_posets(n, labeled=False)]
+    hosts = [q for n in range(1, 7) for q in enumerate_posets(n, labeled=False)]
+    assert (len(patterns), len(hosts)) == (24, 405)
+    pattern_bit = {(p.n, p.up): 1 << i for i, p in enumerate(patterns)}
+    memo = {}
+    host_masks = [_induced_form_mask(q, pattern_bit, 4, memo) for q in hosts]
+    for pat in patterns:
+        upset = upset_in_Xn(pat)
+        upset_mask = sum(pattern_bit[r.n, r.up] for r in upset)
+        for q, host_mask in zip(hosts, host_masks):
+            assert (not upset_mask & host_mask) == search_upset_avoided(q, upset), (
+                pat.strict_pairs(),
+                q.strict_pairs(),
+            )
 
 
 def test_enumeration_deterministic_and_closed():
