@@ -20,7 +20,6 @@ from .partitions import (
 from .posets import (
     FinitePoset,
     build_weak_pattern_poset,
-    contains_induced,
     enumerate_posets,
     sav_count,
     strongly_avoids,
@@ -52,7 +51,6 @@ __all__ = [
     "build_weak_pattern_poset",
     "classify_shape",
     "cluster_map",
-    "contains_induced",
     "count_chains",
     "count_tableaux",
     "CoverSets",

@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import Partition, partitions_of
 from .errors import LimitError
-from .posets import FinitePoset, _embedding, contains_induced, two_plus_two
+from .posets import FinitePoset, _embedding
 from .tableaux import SchroderTableau, is_standard, lonely_cells
 
 Interval = tuple[int, int]
@@ -52,9 +52,24 @@ def interval_order(intervals: Sequence[Sequence[int]]) -> FinitePoset:
     return FinitePoset._from_masks(len(ivs), up)
 
 
+def _down_chain(p: FinitePoset) -> list[int] | None:
+    """The distinct strict down-sets of ``p`` from smallest to largest, or
+    None when they do not form a chain under inclusion.
+
+    They form a chain exactly when ``p`` has no induced 2+2, i.e. when ``p``
+    is an interval order (P. C. Fishburn, J. Math. Psych. 7 (1970)).  A mask
+    is smaller than every proper superset, so sorting by value puts a chain
+    in inclusion order, and a chain is nested at each neighbouring pair.
+    """
+    down_sets = sorted(set(p.down))
+    if any(smaller & ~larger for smaller, larger in zip(down_sets, down_sets[1:])):
+        return None
+    return down_sets
+
+
 def is_interval_order(p: FinitePoset) -> bool:
     """True iff ``p`` has no induced subposet isomorphic to 2+2."""
-    return not contains_induced(p, two_plus_two())
+    return _down_chain(p) is not None
 
 
 def intervals_of_tableau(t: SchroderTableau) -> tuple[Interval, ...]:
@@ -117,7 +132,7 @@ def has_schroder_preimage(p: FinitePoset) -> Witness | None:
 
     A witness exists exactly when some tableau's interval set induces ``p``.
     The size is checked first, so oversized input is refused before the
-    2+2 test.
+    interval-order test.
     """
     check_size(p.n)
     if not is_interval_order(p):
@@ -125,7 +140,7 @@ def has_schroder_preimage(p: FinitePoset) -> Witness | None:
     for d in grid_downsets(p.n):
         # cells in row-major order and increasing host candidates make the
         # first mapping found the lexicographically smallest one
-        image = _embedding(p, downset_poset(d), induced=False, order=range(p.n))
+        image = _embedding(p, downset_poset(d), order=range(p.n))
         if image is not None:
             return Witness(d, tuple(w + 1 for w in image))
     return None
@@ -139,11 +154,9 @@ def realize_intervals(p: FinitePoset) -> tuple[Interval, ...]:
     inclusion chain of predecessor sets; the right value of x is the largest
     left value among elements not above x.
     """
-    if not is_interval_order(p):
+    down_sets = _down_chain(p)
+    if down_sets is None:
         raise ValueError("poset is not an interval order")
-    if p.n == 0:
-        return ()
-    down_sets = sorted({p.down[v] for v in range(p.n)}, key=lambda m: m.bit_count())
     rank = {m: i for i, m in enumerate(down_sets)}
     left = [rank[p.down[v]] for v in range(p.n)]
     right = [

@@ -100,10 +100,6 @@ class FinitePoset:
             self._canon = _canonical_masks(self.n, self.up)
         return (self.n, self._canon)
 
-    def canonical(self) -> "FinitePoset":
-        """The canonically relabeled copy of this poset."""
-        return FinitePoset._from_masks(self.n, self.canonical_form()[1])
-
     def isomorphic(self, other: "FinitePoset") -> bool:
         return self.canonical_form() == other.canonical_form()
 
@@ -224,10 +220,6 @@ def single_cover(n: int) -> FinitePoset:
     return FinitePoset(n, [(1, 2)])
 
 
-def two_plus_two() -> FinitePoset:
-    return FinitePoset(4, [(1, 2), (3, 4)])
-
-
 def disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     return FinitePoset._from_masks(p.n + q.n, p.up + tuple(m << p.n for m in q.up))
 
@@ -320,20 +312,15 @@ def is_below(p: FinitePoset, first: Iterable[int], second: Iterable[int]) -> boo
 # pattern containment
 
 def _embedding(
-    host: FinitePoset,
-    pat: FinitePoset,
-    induced: bool,
-    order: Sequence[int] | None = None,
+    host: FinitePoset, pat: FinitePoset, order: Sequence[int] | None = None
 ) -> tuple[int, ...] | None:
-    """The first injective order-preserving map from ``pat`` into ``host``
-    (order-reflecting too when ``induced``), as the host vertices of the
-    pattern vertices 0..pat.n-1, or None.
+    """The first injective order-preserving map from ``pat`` into ``host``,
+    as the host vertices of the pattern vertices 0..pat.n-1, or None.
 
     Pattern vertices are assigned in ``order``, by default most relations
     first.  A vertex's candidates are one bitmask: the unused host vertices,
     cut by ``host.up[x]`` for each assigned pattern vertex below it with
-    image x, by ``host.down[x]`` for each above it, and, when ``induced``, by
-    the complement of both for each incomparable one.  Candidates are tried
+    image x and by ``host.down[x]`` for each above it.  Candidates are tried
     in increasing order, skipping those with fewer host relations up or down
     than the pattern vertex has, so with ``order=range(pat.n)`` the result is
     the lexicographically smallest map.
@@ -360,8 +347,6 @@ def _embedding(
                 candidates &= host_up[x]
             elif pat_down[u] >> v & 1:
                 candidates &= host_down[x]
-            elif induced:
-                candidates &= ~(host_up[x] | host_down[x])
         need_up, need_down = pat_up[v].bit_count(), pat_down[v].bit_count()
         while candidates:
             low = candidates & -candidates
@@ -398,14 +383,9 @@ def _induced_form_mask(
     return mask
 
 
-def contains_induced(q: FinitePoset, p: FinitePoset) -> bool:
-    """True iff ``p`` embeds into ``q`` order-preservingly and order-reflectingly."""
-    return _embedding(q, p, induced=True) is not None
-
-
 def weakly_contains(q: FinitePoset, p: FinitePoset) -> bool:
     """True iff an injective order-preserving map p -> q exists."""
-    return _embedding(q, p, induced=False) is not None
+    return _embedding(q, p) is not None
 
 
 def strongly_avoids(q: FinitePoset, p: FinitePoset) -> bool:

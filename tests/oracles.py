@@ -279,7 +279,8 @@ def pairwise_embedding(host, pat, induced, order=None):
     """``posets._embedding`` by testing each host vertex against every
     assigned pattern vertex pair by pair: the same assignment order, the same
     degree filter and the same increasing candidate order, so the same first
-    image."""
+    image.  When ``induced``, the map must reflect the order too: the
+    reference for induced containment, which the library does not search."""
     if pat.n > host.n:
         return None
     if order is None:
@@ -373,9 +374,7 @@ def extension_unlabeled_masks(n):
 def search_upset_avoided(q, upset):
     """True iff ``q`` contains no poset of ``upset`` induced, by one
     embedding search per poset."""
-    from schroeder.posets import contains_induced
-
-    return not any(contains_induced(q, r) for r in upset)
+    return not any(pairwise_embedding(q, r, True) is not None for r in upset)
 
 
 def pairs_interval_order(intervals):
@@ -494,3 +493,10 @@ def wedge():
     from schroeder.posets import FinitePoset
 
     return FinitePoset(3, [(1, 3), (2, 3)])
+
+
+def two_plus_two():
+    """Two disjoint 2-element chains."""
+    from schroeder.posets import FinitePoset
+
+    return FinitePoset(4, [(1, 2), (3, 4)])

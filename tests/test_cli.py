@@ -154,8 +154,8 @@ def test_preimage_answers_in_bounded_time(tmp_path, capsys):
 
 
 def test_preimage_refuses_oversized_input_at_once(tmp_path, capsys):
-    # ordering 5,000 intervals and testing them for 2+2 takes minutes, so
-    # the size limit must be checked before either
+    # ordering 5,000 intervals and searching their grid down-sets takes
+    # far too long, so the size limit must be checked before either
     ivs = tmp_path / "i.json"
     ivs.write_text(json.dumps({"intervals": [[2 * k + 1, 2 * k + 2] for k in range(5000)]}))
     t0 = time.monotonic()

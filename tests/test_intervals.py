@@ -10,6 +10,8 @@ from oracles import (
     cell_intervals_of_tableau,
     pairs_downset_poset,
     pairs_interval_order,
+    pairwise_embedding,
+    two_plus_two,
 )
 from schroeder.errors import LimitError
 from schroeder.intervals import (
@@ -28,10 +30,11 @@ from schroeder.intervals import (
 )
 from schroeder.partitions import enumerate_schroeder_partitions, partitions_of
 from schroeder.posets import (
+    FinitePoset,
+    _unlabeled_masks,
     antichain,
     chain,
     enumerate_posets,
-    two_plus_two,
 )
 from schroeder.tableaux import SchroderTableau, enumerate_tableaux, lonely_cells
 
@@ -80,6 +83,24 @@ def test_is_interval_order():
     assert not is_interval_order(two_plus_two())
     assert is_interval_order(chain(4))
     assert is_interval_order(antichain(3))
+
+
+def test_down_set_chain_matches_two_plus_two_search():
+    """The down-set chain test equals "no induced 2+2" on every unlabeled
+    poset of size <= 7 and every labeled poset of size <= 5; the unlabeled
+    interval orders number 1, 1, 2, 5, 15, 53, 217, 1014 (OEIS A022493)."""
+    checked, counts = 0, []
+    for n in range(8):
+        unlabeled = [FinitePoset._from_masks(n, up) for up in _unlabeled_masks(n)]
+        labeled = enumerate_posets(n, labeled=True) if n <= 5 else []
+        for p in unlabeled + labeled:
+            assert is_interval_order(p) == (
+                pairwise_embedding(p, two_plus_two(), True) is None
+            ), p
+        checked += len(unlabeled) + len(labeled)
+        counts.append(sum(map(is_interval_order, unlabeled)))
+    assert checked == 6925
+    assert counts == [1, 1, 2, 5, 15, 53, 217, 1014]
 
 
 def test_intervals_of_tableau_examples():
@@ -187,6 +208,8 @@ def test_round_trip_small_interval_orders():
 
 
 def test_realize_intervals_small():
+    with pytest.raises(ValueError, match="not an interval order"):
+        realize_intervals(two_plus_two())
     for n in range(1, 6):
         for p in enumerate_posets(n, labeled=False):
             if not is_interval_order(p):
