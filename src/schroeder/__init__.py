@@ -23,7 +23,6 @@ from .posets import (
     enumerate_posets,
     sav_count,
     strongly_avoids,
-    upset_in_Xn,
     weakly_contains,
 )
 from .intervals import (
@@ -76,7 +75,6 @@ __all__ = [
     "sch_insert",
     "strongly_avoids",
     "tableau_from_witness",
-    "upset_in_Xn",
     "verify_differential",
     "weakly_contains",
 ]

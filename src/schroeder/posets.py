@@ -6,6 +6,8 @@ meaning i < j.  Internally each poset stores, per element, bitmasks of the
 elements strictly above and strictly below it; relations are always
 transitively closed.  Only pairs input, ``FinitePoset(n, pairs)``, is closed
 and checked for cycles; derived posets are built from masks already closed.
+Structural questions (flat unions, ordered splits) are answered from these
+masks, and the poset of size-n posets keeps each element's up-set as a mask.
 """
 
 from __future__ import annotations
@@ -23,20 +25,13 @@ Masks = tuple[int, ...]
 
 
 def _closure(n: int, up: list[int]) -> list[int]:
-    changed = True
-    while changed:
-        changed = False
+    """Warshall's transitive closure, in place: for each k, every element
+    with k above it also gets everything above k."""
+    for k in range(n):
+        bit, row = 1 << k, up[k]
         for i in range(n):
-            mask = up[i]
-            extra = 0
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                extra |= up[j]
-            if extra & ~mask:
-                up[i] = mask | extra
-                changed = True
+            if up[i] & bit:
+                up[i] |= row
     return up
 
 
@@ -276,36 +271,30 @@ def height(p: FinitePoset) -> int:
     return max(memo, default=0)
 
 
-def is_flat(p: FinitePoset) -> bool:
-    """True iff ``p`` is an antichain with one added maximum."""
-    if p.n == 0:
-        return False
-    tops = [v for v in range(p.n) if p.up[v] == 0]
-    if len(tops) != 1:
-        return False
-    top = tops[0]
-    full = (1 << p.n) - 1
-    if p.down[top] != full ^ (1 << top):
-        return False
-    return all(
-        v == top or (p.up[v] == 1 << top and p.down[v] == 0) for v in range(p.n)
-    )
-
-
 def is_disjoint_union_of_flats(p: FinitePoset) -> bool:
-    return all(is_flat(induced_subposet(p, comp)) for comp in connected_components(p))
+    """True iff every component is an antichain with one added maximum: no
+    element has two above it (so none has one above and one below)."""
+    return all(not up & (up - 1) for up in p.up)
+
+
+def _mask_of(elements: Iterable[int]) -> int:
+    mask = 0
+    for e in elements:
+        mask |= 1 << (e - 1)
+    return mask
 
 
 def is_weakly_below(p: FinitePoset, first: Iterable[int], second: Iterable[int]) -> bool:
     """True iff no element of ``first`` is >= any element of ``second``."""
-    fs, ss = set(first), set(second)
-    return not any(x == y or p.less(y, x) for x in fs for y in ss)
+    fs, ss = _mask_of(first), _mask_of(second)
+    return not fs & ss and not any(p.up[y] & fs for y in _bits(ss))
 
 
 def is_below(p: FinitePoset, first: Iterable[int], second: Iterable[int]) -> bool:
-    """True iff every element of ``first`` is <= every element of ``second``."""
-    fs, ss = set(first), set(second)
-    return all(x != y and p.less(x, y) for x in fs for y in ss)
+    """True iff every element of ``first`` is strictly below every element
+    of ``second``; so the two share no element unless one is empty."""
+    ss = _mask_of(second)
+    return all(not ss & ~p.up[x] for x in _bits(_mask_of(first)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,27 +450,23 @@ def enumerate_posets(n: int, labeled: bool = True) -> list[FinitePoset]:
     return [FinitePoset._from_masks(n, up) for up in masks]
 
 
-def upset_in_Xn(p: FinitePoset) -> list[FinitePoset]:
-    """The size-|p| unlabeled posets weakly containing ``p`` (canonical
-    representatives, deterministic order)."""
-    return [q for q in enumerate_posets(p.n, labeled=False) if weakly_contains(q, p)]
-
-
 @dataclass(frozen=True)
 class WeakPatternPoset:
-    """All unlabeled posets of one size, ordered by weak containment."""
+    """All unlabeled posets of one size, ordered by weak containment: bit j
+    of ``above[i]`` is set iff ``elements[j]`` weakly contains ``elements[i]``."""
 
     n: int
     elements: tuple[FinitePoset, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    above: Masks
     hasse_edges: tuple[tuple[int, int], ...]
 
     def minimum(self) -> int:
-        (m,) = [i for i, column in enumerate(zip(*self.leq)) if sum(column) == 1]
+        full = (1 << len(self.elements)) - 1
+        (m,) = [i for i, mask in enumerate(self.above) if mask == full]
         return m
 
     def maximum(self) -> int:
-        (m,) = [i for i, row in enumerate(self.leq) if sum(row) == 1]
+        (m,) = [i for i, mask in enumerate(self.above) if mask == 1 << i]
         return m
 
     def atoms(self) -> list[int]:
@@ -492,20 +477,20 @@ class WeakPatternPoset:
 def build_weak_pattern_poset(n: int) -> WeakPatternPoset:
     elements = tuple(enumerate_posets(n, labeled=False))
     k = len(elements)
-    leq = tuple(
-        tuple(i == j or weakly_contains(elements[j], elements[i]) for j in range(k))
+    above = tuple(
+        sum(1 << j for j in range(k) if i == j or weakly_contains(elements[j], elements[i]))
         for i in range(k)
     )
-    # (i, j) in increasing order: a pair with nothing strictly between
-    edges = tuple(
-        (i, j)
-        for i in range(k)
-        for j in range(k)
-        if i != j
-        and leq[i][j]
-        and not any(leq[i][m] and leq[m][j] for m in range(k) if m != i and m != j)
-    )
-    return WeakPatternPoset(n=n, elements=elements, leq=leq, hasse_edges=edges)
+    # transitive reduction: j covers i iff j is strictly above i and not
+    # strictly above any m strictly above i
+    strict = [mask & ~(1 << i) for i, mask in enumerate(above)]
+    edges = []
+    for i in range(k):
+        beyond = 0
+        for m in _bits(strict[i]):
+            beyond |= strict[m]
+        edges.extend((i, j) for j in _bits(strict[i] & ~beyond))
+    return WeakPatternPoset(n=n, elements=elements, above=above, hasse_edges=tuple(edges))
 
 
 def sav_count(n: int, pattern: FinitePoset, labeled: bool = True) -> int:

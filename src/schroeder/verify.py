@@ -394,8 +394,9 @@ def run_sav(max_size: int = 6) -> VerifyReport:
     report = VerifyReport("sav", {"max": max_size})
 
     expected_sizes = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
+    xps = {}
     for n in range(1, min(max_size, 5) + 1):
-        xp = posets.build_weak_pattern_poset(n)
+        xp = xps[n] = posets.build_weak_pattern_poset(n)
         report.check(
             f"unlabeled poset count at size {n}",
             len(xp.elements) == expected_sizes[n],
@@ -446,50 +447,51 @@ def run_sav(max_size: int = 6) -> VerifyReport:
         for n in range(1, max_size + 1)
         for q in posets.enumerate_posets(n, labeled=False)
     ]
+    # avoided[n, up][h]: whether hosts[h] strongly avoids the pattern of size
+    # n <= 4 with canonical masks ``up``; every check below reads it
+    avoided = {
+        (p.n, p.up): [posets.strongly_avoids(q, p) for q in hosts]
+        for n in range(1, 5)
+        for p in posets.enumerate_posets(n, labeled=False)
+    }
     for k in range(1, 5):
-        chain_k = posets.chain(k)
-        discrete_k = posets.antichain(k)
-        for q in hosts:
+        chain_row = avoided[posets.chain(k).canonical_form()]
+        discrete_row = avoided[posets.antichain(k).canonical_form()]
+        cover_row = avoided[posets.single_cover(k).canonical_form()] if k >= 2 else None
+        for h, q in enumerate(hosts):
             report.check(
                 f"strong avoidance of the {k}-chain is the height filter",
-                posets.strongly_avoids(q, chain_k) == (posets.height(q) <= k - 1),
+                chain_row[h] == (posets.height(q) <= k - 1),
                 lambda: f"host {q.strict_pairs()}",
             )
             report.check(
                 f"strong avoidance of the discrete poset of size {k}",
-                posets.strongly_avoids(q, discrete_k) == (q.n <= k - 1),
+                discrete_row[h] == (q.n <= k - 1),
                 lambda: f"host {q.strict_pairs()}",
             )
             if k >= 2:
-                cover_k = posets.single_cover(k)
                 expected = q.n <= k - 1 or q.pair_count() == 0
                 report.check(
                     f"strong avoidance of the single-cover poset of size {k}",
-                    posets.strongly_avoids(q, cover_k) == expected,
+                    cover_row[h] == expected,
                     lambda: f"host {q.strict_pairs()}",
                 )
 
-    patterns = [
-        p
-        for n in range(1, min(max_size, 4) + 1)
-        for p in posets.enumerate_posets(n, labeled=False)
-    ]
-    # bit i of a mask stands for patterns[i], keyed by its canonical masks
+    # the patterns are X_1..X_4's elements in order; bit i of a mask stands for
+    # patterns[i], so an up-set is an ``above`` mask shifted past smaller sizes
+    patterns: list[posets.FinitePoset] = []
+    upset_masks = []
+    for n in range(1, min(max_size, 4) + 1):
+        upset_masks.extend(mask << len(patterns) for mask in xps[n].above)
+        patterns.extend(xps[n].elements)
     pattern_bit = {(p.n, p.up): 1 << i for i, p in enumerate(patterns)}
     form_memo: dict[posets.Masks, int] = {}
     host_masks = [
         posets._induced_form_mask(q, pattern_bit, min(max_size, 4), form_memo)
         for q in hosts
     ]
-    # avoided[i][h]: whether hosts[h] strongly avoids patterns[i]
-    avoided = []
-    for pat in patterns:
-        upset_mask = 0
-        for r in posets.upset_in_Xn(pat):
-            upset_mask |= pattern_bit[r.n, r.up]
-        row = [posets.strongly_avoids(q, pat) for q in hosts]
-        avoided.append(row)
-        for q, lhs, host_mask in zip(hosts, row, host_masks):
+    for pat, upset_mask in zip(patterns, upset_masks):
+        for q, lhs, host_mask in zip(hosts, avoided[pat.n, pat.up], host_masks):
             report.check(
                 "strong avoidance reduces to induced avoidance of the up-set",
                 lhs == (not upset_mask & host_mask),
@@ -559,10 +561,10 @@ def run_sav(max_size: int = 6) -> VerifyReport:
                     lambda: f"{pa.strict_pairs()} + {pb.strict_pairs()} in {q.strict_pairs()}",
                 )
 
-    for pat, row in zip(patterns, avoided):
+    for pat in patterns:
         if not posets.is_connected(pat):
             continue
-        for q, avoids in zip(hosts, row):
+        for q, avoids in zip(hosts, avoided[pat.n, pat.up]):
             if not avoids:
                 continue
             report.check(

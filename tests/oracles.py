@@ -377,6 +377,95 @@ def search_upset_avoided(q, upset):
     return not any(pairwise_embedding(q, r, True) is not None for r in upset)
 
 
+def fixpoint_closure(n, pairs):
+    """The up masks of the transitive closure of ``pairs`` on 1..n, by
+    repeating one-step extensions until nothing changes; ``ValueError`` on a
+    cycle or a reflexive pair."""
+    up = [0] * n
+    for i, j in pairs:
+        up[i - 1] |= 1 << (j - 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            extra = 0
+            for j in range(n):
+                if up[i] >> j & 1:
+                    extra |= up[j]
+            if extra & ~up[i]:
+                up[i] |= extra
+                changed = True
+    if any(up[i] >> i & 1 for i in range(n)):
+        raise ValueError("relation has a cycle")
+    return tuple(up)
+
+
+def is_flat(p):
+    """True iff ``p`` is an antichain with one added maximum."""
+    if p.n == 0:
+        return False
+    tops = [v for v in range(p.n) if p.up[v] == 0]
+    if len(tops) != 1:
+        return False
+    top = tops[0]
+    full = (1 << p.n) - 1
+    if p.down[top] != full ^ (1 << top):
+        return False
+    return all(
+        v == top or (p.up[v] == 1 << top and p.down[v] == 0) for v in range(p.n)
+    )
+
+
+def components_are_flat(p):
+    """True iff every connected component of ``p`` induces a flat poset."""
+    from schroeder.posets import connected_components
+
+    return all(is_flat(pairs_induced_subposet(p, comp)) for comp in connected_components(p))
+
+
+def pairwise_is_below(p, first, second):
+    """Every element of ``first`` strictly below every element of
+    ``second``, one ``less`` call per pair."""
+    return all(x != y and p.less(x, y) for x in set(first) for y in set(second))
+
+
+def pairwise_is_weakly_below(p, first, second):
+    """No element of ``first`` at or above any element of ``second``, one
+    ``less`` call per pair."""
+    return not any(x == y or p.less(y, x) for x in set(first) for y in set(second))
+
+
+def upset_in_Xn(p):
+    """The size-|p| unlabeled posets weakly containing ``p``, in enumeration
+    order, by one containment search per poset."""
+    from schroeder.posets import enumerate_posets
+
+    return [q for q in enumerate_posets(p.n, labeled=False) if brute_weakly_contains(q, p)]
+
+
+def matrix_weak_pattern_poset(n):
+    """X_n as a k x k matrix, ``leq[i][j]`` iff ``elements[j]`` weakly
+    contains ``elements[i]``, and its Hasse edges (i, j) in increasing order:
+    the pairs with no third element between them."""
+    from schroeder.posets import enumerate_posets
+
+    elements = enumerate_posets(n, labeled=False)
+    k = len(elements)
+    leq = [
+        [i == j or brute_weakly_contains(elements[j], elements[i]) for j in range(k)]
+        for i in range(k)
+    ]
+    edges = [
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j
+        and leq[i][j]
+        and not any(leq[i][m] and leq[m][j] for m in range(k) if m != i and m != j)
+    ]
+    return leq, edges
+
+
 def pairs_interval_order(intervals):
     """Complete precedence of intervals through strict pairs and
     ``FinitePoset(n, pairs)``, which closes the relation and checks it for

@@ -1,21 +1,31 @@
+import random
+
 import pytest
 
 from oracles import (
     bell_by_binomial,
     brute_contains_induced,
     brute_weakly_contains,
+    components_are_flat,
     extension_unlabeled_masks,
+    fixpoint_closure,
+    is_flat,
+    matrix_weak_pattern_poset,
     pairs_disjoint_union,
     pairs_induced_subposet,
     pairs_linear_sum,
     pairwise_embedding,
+    pairwise_is_below,
+    pairwise_is_weakly_below,
     search_upset_avoided,
     two_plus_two,
+    upset_in_Xn,
     wedge,
 )
 from schroeder.errors import LimitError
 from schroeder.posets import (
     FinitePoset,
+    _bits,
     _embedding,
     _induced_form_mask,
     _unlabeled_masks,
@@ -29,7 +39,6 @@ from schroeder.posets import (
     induced_subposet,
     is_below,
     is_disjoint_union_of_flats,
-    is_flat,
     is_weakly_below,
     linear_sum,
     poset_from_json,
@@ -37,7 +46,6 @@ from schroeder.posets import (
     sav_count,
     single_cover,
     strongly_avoids,
-    upset_in_Xn,
     vee,
     weakly_contains,
 )
@@ -53,6 +61,30 @@ def test_construction_and_closure():
         FinitePoset(2, [(1, 1)])
     with pytest.raises(ValueError):
         FinitePoset(2, [(1, 3)])
+
+
+def test_closure_matches_fixpoint_loop():
+    """Warshall's pass gives the fixpoint loop's closure on seeded random
+    relations of size <= 7, and both refuse the cyclic ones."""
+    rng = random.Random(23)
+    cyclic = 0
+    for _ in range(3000):
+        n = rng.randint(0, 7)
+        pairs = [
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if i != j and rng.random() < 0.15
+        ]
+        try:
+            expected = fixpoint_closure(n, pairs)
+        except ValueError:
+            cyclic += 1
+            with pytest.raises(ValueError):
+                FinitePoset(n, pairs)
+            continue
+        assert FinitePoset(n, pairs).up == expected, (n, pairs)
+    assert cyclic == 479
 
 
 def test_json_round_trip():
@@ -216,12 +248,47 @@ def test_structural_ops():
     assert not is_disjoint_union_of_flats(vee())
 
 
+def test_flat_unions_match_per_component_test():
+    """The mask test equals "every component is flat" on all labeled posets
+    of size <= 5 and all unlabeled posets of size 6.  The flat unions are
+    the 1 + 1 + 3 + 10 + 41 + 196 labeled vee avoiders and one unlabeled
+    poset per partition of 6."""
+    hosts = [p for n in range(6) for p in enumerate_posets(n, labeled=True)]
+    hosts += enumerate_posets(6, labeled=False)
+    flat_unions = 0
+    for p in hosts:
+        expected = components_are_flat(p)
+        assert is_disjoint_union_of_flats(p) == expected, p
+        flat_unions += expected
+    assert (len(hosts), flat_unions) == (4792, 252 + 11)
+
+
 def test_below_predicates():
     c = chain(3)
     assert is_below(c, [1], [2, 3])
     assert not is_below(two_plus_two(), [1, 3], [2, 4])
     assert is_weakly_below(two_plus_two(), [1, 3], [2, 4])
     assert not is_weakly_below(chain(2), [2], [1])
+    # both are strict: a shared element is not below itself
+    assert not is_below(chain(2), [1], [1, 2])
+    assert not is_weakly_below(chain(2), [1], [1])
+    assert is_below(chain(2), [], [1]) and is_below(chain(2), [1], [])
+
+
+def test_below_predicates_match_pairwise_test():
+    """For every subset b of every labeled poset of size <= 5, against its
+    complement, itself and the whole ground set."""
+    for n in range(6):
+        ground = list(range(1, n + 1))
+        for p in enumerate_posets(n, labeled=True):
+            for mask in range(1 << n):
+                b = [e for e in ground if mask >> (e - 1) & 1]
+                rest = [e for e in ground if not mask >> (e - 1) & 1]
+                for other in (rest, b, ground):
+                    assert is_below(p, b, other) == pairwise_is_below(p, b, other)
+                    assert is_weakly_below(p, b, other) == pairwise_is_weakly_below(
+                        p, b, other
+                    )
 
 
 def test_flat_does_not_weakly_contain_vee():
@@ -285,6 +352,34 @@ def test_weak_pattern_poset_structure():
     assert len(xp4.hasse_edges) == 27
     for i, j in xp4.hasse_edges:
         assert xp4.elements[j].pair_count() - xp4.elements[i].pair_count() == 1
+
+
+@pytest.mark.parametrize(
+    "n, size, edges", [(0, 1, 0), (1, 1, 0), (2, 2, 1), (3, 5, 5), (4, 16, 27), (5, 63, 166)]
+)
+def test_weak_pattern_poset_counts(n, size, edges):
+    xp = build_weak_pattern_poset(n)
+    assert (len(xp.elements), len(xp.hasse_edges)) == (size, edges)
+    if n <= 1:
+        assert xp.atoms() == []
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_weak_pattern_poset_matches_matrix(n):
+    """``above`` and the bitset reduction equal the k x k matrix and its
+    O(k^3) reduction."""
+    xp = build_weak_pattern_poset(n)
+    leq, edges = matrix_weak_pattern_poset(n)
+    k = len(xp.elements)
+    assert [[bool(xp.above[i] >> j & 1) for j in range(k)] for i in range(k)] == leq
+    assert list(xp.hasse_edges) == edges
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_weak_pattern_poset_rows_are_upsets(n):
+    xp = build_weak_pattern_poset(n)
+    for p, mask in zip(xp.elements, xp.above):
+        assert [xp.elements[j] for j in _bits(mask)] == upset_in_Xn(p)
 
 
 def test_induced_subposet():
