@@ -49,7 +49,7 @@ def _down_masks(n: int, up: Masks) -> Masks:
 class FinitePoset:
     """An immutable strict partial order on the ground set 1..n."""
 
-    __slots__ = ("n", "up", "down", "_canon")
+    __slots__ = ("n", "up", "down", "_canon", "_order")
 
     def __init__(self, n: int, strict_pairs: Iterable[tuple[int, int]] = ()):
         up = [0] * n
@@ -67,6 +67,7 @@ class FinitePoset:
         self.up = tuple(up)
         self.down = _down_masks(n, self.up)
         self._canon: Masks | None = None
+        self._order: tuple[int, ...] | None = None
 
     @classmethod
     def _from_masks(cls, n: int, up: Masks) -> "FinitePoset":
@@ -75,6 +76,7 @@ class FinitePoset:
         self.up = up
         self.down = _down_masks(n, up)
         self._canon = None
+        self._order = None
         return self
 
     def less(self, i: int, j: int) -> bool:
@@ -307,9 +309,10 @@ def _embedding(
     as the host vertices of the pattern vertices 0..pat.n-1, or None.
 
     Pattern vertices are assigned in ``order``, by default most relations
-    first.  A vertex's candidates are one bitmask: the unused host vertices,
-    cut by ``host.up[x]`` for each assigned pattern vertex below it with
-    image x and by ``host.down[x]`` for each above it.  Candidates are tried
+    first, an order sorted once per pattern and kept on it.  A vertex's
+    candidates are one bitmask: the unused host vertices, cut by
+    ``host.up[x]`` for each assigned pattern vertex below it with image x and
+    by ``host.down[x]`` for each above it.  Candidates are tried
     in increasing order, skipping those with fewer host relations up or down
     than the pattern vertex has, so with ``order=range(pat.n)`` the result is
     the lexicographically smallest map.
@@ -317,10 +320,14 @@ def _embedding(
     if pat.n > host.n:
         return None
     if order is None:
-        order = sorted(
-            range(pat.n),
-            key=lambda v: -(pat.up[v].bit_count() + pat.down[v].bit_count()),
-        )
+        order = pat._order
+        if order is None:
+            order = pat._order = tuple(
+                sorted(
+                    range(pat.n),
+                    key=lambda v: -(pat.up[v].bit_count() + pat.down[v].bit_count()),
+                )
+            )
     host_up, host_down, pat_up, pat_down = host.up, host.down, pat.up, pat.down
     image = [0] * pat.n  # image[v] = host vertex assigned to pattern vertex v
 

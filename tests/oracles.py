@@ -76,6 +76,44 @@ def brute_is_standard(rows):
     return all(a < b for seq in sequences for a, b in zip(seq, seq[1:]))
 
 
+def placement_fillings(shape):
+    """Yield the row contents of every standard filling of ``shape``, by
+    placing 1..n in increasing order; a value may extend row i when the cell
+    it would occupy has its reading-order predecessor already filled.  For an
+    upper triangle below row 0 that predecessor is the lower twin in the row
+    above."""
+    n = sum(shape)
+    filled = [0] * len(shape)
+    rows = [[] for _ in shape]
+
+    def placeable(i):
+        p = filled[i] + 1
+        if p > shape[i]:
+            return False
+        if i > 0 and p % 2 and filled[i - 1] < p + 1:
+            return False
+        return True
+
+    def rec(value):
+        if value > n:
+            yield tuple(tuple(r) for r in rows)
+            return
+        for i in range(len(shape)):
+            if placeable(i):
+                filled[i] += 1
+                rows[i].append(value)
+                yield from rec(value + 1)
+                filled[i] -= 1
+                rows[i].pop()
+
+    yield from rec(1)
+
+
+def enumeration_count(shape):
+    """Number of standard fillings of ``shape``, by walking every one."""
+    return sum(1 for _ in placement_fillings(shape))
+
+
 def chain_to_tableau(chain):
     """Fill cells in the order they are added along a saturated chain of
     ``lattice.covers`` from (): the cell added at step k receives entry k."""

@@ -100,6 +100,14 @@ def test_tableaux_commands(capsys):
     assert rows == [[[1, 2, 3], [4]], [[1, 2, 4], [3]]]
 
 
+def test_tableaux_count_at_the_order_limit_is_quick(capsys):
+    # the order-18 shape with the most tableaux
+    t0 = time.monotonic()
+    code, out, _ = run_cli(capsys, "tableaux", "--shape", "8,5,3,2", "--count")
+    assert code == 0 and out == "512928\n"
+    assert time.monotonic() - t0 < 1
+
+
 def test_posets_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "posets", "enumerate", "--size", "3", "--unlabeled")
     assert code == 0

@@ -208,6 +208,21 @@ def test_embedding_matches_pairwise_search():
     assert calls == 15350
 
 
+def test_default_search_order_is_kept_per_pattern():
+    """The default order, sorted once and kept on the pattern, gives the same
+    first image as passing the most-relations-first order, on the first call
+    and on later calls with the same pattern object."""
+    posets = [q for n in range(6) for q in enumerate_posets(n, labeled=False)]
+    for p in posets:
+        most_first = sorted(
+            range(p.n), key=lambda v: -(p.up[v].bit_count() + p.down[v].bit_count())
+        )
+        for q in posets:
+            expected = _embedding(q, p, order=most_first)
+            assert _embedding(q, p) == expected, (q, p)
+            assert _embedding(q, p) == expected, (q, p)
+
+
 def test_mask_constructors_match_pairs_construction():
     def same(a, b):
         return (a.n, a.up, a.down) == (b.n, b.up, b.down)

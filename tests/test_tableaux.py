@@ -4,14 +4,17 @@ from oracles import (
     all_fillings,
     brute_is_standard,
     chain_to_tableau,
+    enumeration_count,
     is_single_column_shape,
     is_single_row_shape,
+    placement_fillings,
     tableau_to_chain,
 )
 from schroeder.errors import LimitError
-from schroeder.lattice import covers
+from schroeder.lattice import count_chains, covers
 from schroeder.partitions import enumerate_schroeder_partitions
 from schroeder.tableaux import (
+    ORDER_LIMIT,
     SchroderTableau,
     count_tableaux,
     enumerate_tableaux,
@@ -84,6 +87,28 @@ def test_enumeration_distinct_and_ordered():
             keys = [sum(t.rows, ()) for t in tabs]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
+
+
+def test_listing_matches_sorted_placements():
+    for n in range(11):
+        for shape in enumerate_schroeder_partitions(n):
+            expected = sorted(placement_fillings(shape), key=lambda rows: sum(rows, ()))
+            assert [t.rows for t in enumerate_tableaux(shape)] == expected, shape
+
+
+def test_count_matches_enumeration():
+    for n in range(13):
+        for shape in enumerate_schroeder_partitions(n):
+            assert count_tableaux(shape) == enumeration_count(shape), shape
+
+
+def test_count_matches_chain_count_up_to_order_limit():
+    # the paper's chains-equal-fillings claim at every order count_tableaux
+    # accepts; the lattice counts chains through lattice.covers, the
+    # recursion through the placement rule alone
+    for n in range(ORDER_LIMIT + 1):
+        for shape in enumerate_schroeder_partitions(n):
+            assert count_tableaux(shape) == count_chains(shape), shape
 
 
 def test_order_limit():
