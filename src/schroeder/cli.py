@@ -2,15 +2,16 @@
 
 Every subcommand produces deterministic output for fixed inputs; ``--format
 json`` emits one JSON object per line.  Exit codes: 0 success, 1 verification
-failure, 2 usage or input error, or an unexpected internal error, which prints
+failure, 2 usage or input error, output closed by its reader (one ``error:
+output closed`` line to stderr), or an unexpected internal error, which prints
 one ``error: internal error: <type>: <message>`` line to stderr and no
-traceback.
+traceback.  ``json`` is imported only where JSON is read or written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from typing import Callable
 
@@ -32,6 +33,8 @@ def _emit(obj: dict, fmt: str, ascii_text: Callable[[], str]) -> None:
     """Print ``obj`` as JSON or the text ``ascii_text()`` renders; the text
     is rendered only when printed."""
     if fmt == "json":
+        import json
+
         print(json.dumps(obj, sort_keys=True))
     else:
         print(ascii_text())
@@ -122,6 +125,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _load_json(path: str) -> dict:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -335,7 +340,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a reader closing early is met in this try
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at interpreter exit
+        # finds nothing left to write to the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

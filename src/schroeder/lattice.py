@@ -13,7 +13,6 @@ computed from the up-free/down-free classification of parts:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -123,16 +122,19 @@ def _count_chains(p: Partition) -> int:
     return sum(map(_count_chains, _covers(p).down_covers))
 
 
-@dataclass
 class DifferentialReport:
     """Outcome of sweeping the cover-degree bounds and the common-cover condition."""
 
-    partitions_checked: int = 0
-    pairs_checked: int = 0
-    violations: list[str] = field(default_factory=list)
-    lower_bound_witness: Partition | None = None
-    upper_bound_witness: Partition | None = None
-    min_slack_high: int | None = None
+    def __init__(self):
+        self.partitions_checked = 0
+        self.pairs_checked = 0
+        self.violations: list[str] = []
+        self.lower_bound_witness: Partition | None = None
+        self.upper_bound_witness: Partition | None = None
+        self.min_slack_high: int | None = None
+
+    def __eq__(self, other):
+        return isinstance(other, DifferentialReport) and vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:

@@ -12,10 +12,9 @@ masks, and the poset of size-n posets keeps each element's up-set as a mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import LimitError
 
@@ -457,8 +456,7 @@ def enumerate_posets(n: int, labeled: bool = True) -> list[FinitePoset]:
     return [FinitePoset._from_masks(n, up) for up in masks]
 
 
-@dataclass(frozen=True)
-class WeakPatternPoset:
+class WeakPatternPoset(NamedTuple):
     """All unlabeled posets of one size, ordered by weak containment: bit j
     of ``above[i]`` is set iff ``elements[j]`` weakly contains ``elements[i]``."""
 

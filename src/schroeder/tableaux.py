@@ -15,7 +15,6 @@ saturated chains of shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import LimitError
@@ -30,28 +29,51 @@ ORDER_LIMIT = 18
 Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class SchroderTableau:
     """A shape together with a filling, one entry per cell.
 
     Construction checks the shape and that the entries are a bijection with
-    1..n; it does not require the filling to be standard.
+    1..n; it does not require the filling to be standard.  Tableaux are
+    immutable values: equal shape and rows mean equal tableaux.
     """
 
+    __slots__ = ("shape", "rows")
     shape: Partition
     rows: Rows
 
-    def __post_init__(self):
-        shape = check_schroeder(self.shape)
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, shape: Partition, rows: Rows):
+        shape = check_schroeder(shape)
+        rows = tuple(tuple(r) for r in rows)
         if tuple(len(r) for r in rows) != shape:
             raise ValueError(f"row lengths {rows} do not match shape {shape}")
         n = order(shape)
         entries = [x for row in rows for x in row]
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"entries must be a bijection with 1..{n}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SchroderTableau)
+            and self.shape == other.shape
+            and self.rows == other.rows
+        )
+
+    def __hash__(self):
+        return hash((self.shape, self.rows))
+
+    def __repr__(self):
+        return f"SchroderTableau(shape={self.shape!r}, rows={self.rows!r})"
+
+    def __reduce__(self):
+        return SchroderTableau, (self.shape, self.rows)
 
     @property
     def size(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable
 
@@ -34,13 +33,19 @@ CHAINS_MAX = 10  # lattice: orders whose chain counts meet the tableau counts
 TABLEAU_MAX = 9  # interval-theorem: tableau orders whose interval orders are checked
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    params: dict
-    checks: int = 0
-    violations: list[tuple[str, str]] = field(default_factory=list)
-    findings: list[str] = field(default_factory=list)
+    """One suite's outcome: its check count, the failed checks as (claim,
+    witness) pairs, and findings that are neither."""
+
+    def __init__(self, suite: str, params: dict):
+        self.suite = suite
+        self.params = params
+        self.checks = 0
+        self.violations: list[tuple[str, str]] = []
+        self.findings: list[str] = []
+
+    def __eq__(self, other):
+        return isinstance(other, VerifyReport) and vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -8,6 +12,8 @@ from schroeder.cli import main
 from schroeder.insertion import PERMUTATION_LIMIT
 from schroeder.partitions import ENUMERATION_LIMIT, GF_LIMIT
 from schroeder.posets import SIZE_LIMIT
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +209,55 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys, command, data):
     code, out, err = run_cli(capsys, *command, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "internal error" not in err
+
+
+@pytest.mark.parametrize("text", ["", "{not json"])
+@pytest.mark.parametrize(
+    "command", [("intervals", "from-tableau"), ("intervals", "preimage"), SAV_PATTERN]
+)
+def test_non_json_input_is_an_input_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read JSON file {path}: ")
+    assert "internal error" not in err and len(err.splitlines()) == 1
+
+
+def _fresh_python(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # every CLI process and benchmark worker pays for what importing loads
+    code = (
+        "import sys\n"
+        "import schroeder, schroeder.cli, schroeder.verify\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+    )
+    proc = _fresh_python("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("tableaux", "--shape", "6,4,3,2", "--list"), ("partitions", "--order", "40")],
+)
+def test_closed_output_is_reported_once(argv):
+    # both outputs exceed a pipe's buffer, so writing goes on after the
+    # reader has closed its end, as with `| head -1`
+    proc = _fresh_python(
+        "-m", "schroeder", *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"error: output closed\n"
 
 
 def test_pattern_above_the_size_limit_is_refused(tmp_path, capsys):

@@ -128,6 +128,29 @@ def test_differential_report_common_covers_hold():
     assert all("common covers" not in v for v in report.violations)
 
 
+def test_differential_report_fields():
+    report = verify_differential(3)
+    assert vars(report) == {
+        "partitions_checked": 4,
+        "pairs_checked": 1,
+        "violations": [],
+        "lower_bound_witness": (1,),
+        "upper_bound_witness": (2,),
+        "min_slack_high": 0,
+    }
+    # the attributes keep their order
+    assert list(vars(report)) == [
+        "partitions_checked",
+        "pairs_checked",
+        "violations",
+        "lower_bound_witness",
+        "upper_bound_witness",
+        "min_slack_high",
+    ]
+    assert report.ok and report == verify_differential(3)
+    assert report != verify_differential(4)
+
+
 def test_differential_bounds_known_counterexample():
     # the stated upper bound 2k fails for the family (2a, 2a-1): k=1 but l=3
     cs = covers((4, 3))

@@ -369,6 +369,20 @@ def test_weak_pattern_poset_structure():
         assert xp4.elements[j].pair_count() - xp4.elements[i].pair_count() == 1
 
 
+def test_weak_pattern_poset_fields():
+    xp = build_weak_pattern_poset(2)
+    assert repr(xp) == (
+        "WeakPatternPoset(n=2, elements=(FinitePoset(2, []), FinitePoset(2, [(2, 1)])), "
+        "above=(3, 2), hasse_edges=((0, 1),))"
+    )
+    assert (xp.n, xp.above, xp.hasse_edges) == (2, (3, 2), ((0, 1),))
+    again = build_weak_pattern_poset(2)
+    assert xp == again and hash(xp) == hash(again)
+    assert xp != build_weak_pattern_poset(3)
+    with pytest.raises(AttributeError):
+        xp.n = 3
+
+
 @pytest.mark.parametrize(
     "n, size, edges", [(0, 1, 0), (1, 1, 0), (2, 2, 1), (3, 5, 5), (4, 16, 27), (5, 63, 166)]
 )

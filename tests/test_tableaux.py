@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from oracles import (
@@ -29,12 +32,36 @@ from schroeder.tableaux import (
 
 
 def test_construction_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^odd parts must be simple, got \(1, 1\)$"):
         SchroderTableau((1, 1), ((1,), (2,)))  # repeated odd part
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entries must be a bijection with 1\.\.2$"):
         SchroderTableau((2,), ((1, 3),))  # not a bijection with 1..2
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^row lengths \(\(1, 2, 3\),\) do not match shape \(2, 1\)$"
+    ):
         SchroderTableau((2, 1), ((1, 2, 3),))  # rows do not match shape
+
+
+def test_tableau_value_semantics():
+    t = SchroderTableau((2, 1), ((1, 2), (3,)))
+    # lists are stored as tuples, so equal fillings are equal values
+    same = SchroderTableau(shape=[2, 1], rows=[[1, 2], [3]])
+    assert (same.shape, same.rows) == ((2, 1), ((1, 2), (3,)))
+    assert t == same and not t != same and hash(t) == hash(same)
+    assert len({t, same}) == 1
+    other = SchroderTableau((2, 1), ((1, 3), (2,)))
+    assert t != other and other != t
+    assert t != ((2, 1), ((1, 2), (3,)))
+    assert repr(t) == "SchroderTableau(shape=(2, 1), rows=((1, 2), (3,)))"
+    assert t.size == 3
+    for name in ("shape", "rows", "size", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, ())
+    with pytest.raises(AttributeError):
+        del t.rows
+    assert t == same
+    for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert copied == t and hash(copied) == hash(t)
 
 
 def test_geometry():

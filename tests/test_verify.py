@@ -158,6 +158,28 @@ def test_check_formats_a_callable_witness_only_on_failure():
     ]
 
 
+def test_report_equality_is_field_wise():
+    report = verify.VerifyReport("t", {"max": 1})
+    assert vars(report) == {
+        "suite": "t",
+        "params": {"max": 1},
+        "checks": 0,
+        "violations": [],
+        "findings": [],
+    }
+    other = verify.VerifyReport("t", {"max": 1})
+    assert report == other and report.violations is not other.violations
+    other.check("claim", False)
+    assert report != other
+    report.check("claim", False)
+    assert report == other
+    report.findings.append("note")
+    assert report != other
+    assert verify.VerifyReport("t", {}) != verify.VerifyReport("u", {})
+    assert verify.VerifyReport("t", {}) != verify.VerifyReport("t", {"max": 1})
+    assert verify.VerifyReport("t", {}) != ("t", {})
+
+
 def test_lattice_suite_clean():
     report = verify.run_suite("lattice", 9, seed=1)
     assert report.ok
