@@ -127,13 +127,31 @@ def sweep_row_col(n: int):
     avoidance of 123 and 213).
 
     The permutations are walked depth-first by prefix, each child inserting
-    one more value into a copy of its parent's rows.  Four flags of the
-    prefix are carried down: one row, row 0 at most 2 long, every value in
-    the pair block of its position, and no 123 or 213.  None of them can
-    turn true again once false, because insertion never removes a row or
-    shortens row 0 and a failed predicate stays failed; so a prefix with
-    all four false has no permutation below it that is counted or listed,
-    and its subtree is skipped.
+    one more value into a copy of its parent's rows.  Four flags ride down
+    the walk, each a necessary condition for some completion of the prefix to
+    have its property; a prefix with all four false has no permutation below
+    it that is counted or listed, so its subtree is skipped.  Three of them
+    look ahead at the values still to come:
+
+    * **One row.**  While there is one row its set of values only grows (a
+      step appends, or fills the lonely upper cell and moves the old content
+      into a new twin).  A later value with two row entries above it lands in
+      a lower triangle or in a twinned upper cell and opens row 1, which is
+      never removed.  So every value still to come must exceed the second
+      largest entry of the row.
+    * **Row 0 at most 2 long.**  While row 0 has length 2 its last entry
+      never grows (a step appends, or writes a smaller value into the row),
+      and a later value above it would be appended.  So once row 0 has
+      length 2, every value still to come must be below its last entry.
+    * **The pair blocks.**  Positions 2b, 2b+1 (0-based) hold the values
+      2b+1, 2b+2; no look-ahead, a misplaced value stays misplaced.
+    * **No 123 or 213.**  A value above two earlier ones closes a pattern,
+      and the second-smallest value of the prefix only falls.  So every value
+      still to come must be at most the prefix's second-smallest value.
+
+    A child's flag requires its parent's, so a flag once false stays false.
+    Only the first two read the insertion rows, so a prefix whose first two
+    flags are false is walked without inserting.
     """
     if n < 1:
         raise ValueError("sweep supports n >= 1")
@@ -141,7 +159,7 @@ def sweep_row_col(n: int):
     row_mismatches: list[tuple[int, ...]] = []
     col_mismatches: list[tuple[int, ...]] = []
     perm: list[int] = []
-    free = [True] * (n + 1)
+    rest = list(range(1, n + 1))  # the values still to come, increasing
 
     def walk(rows, one_row, one_col, pairs, avoids, lo, hi):
         # lo, hi: smallest and second-smallest value of the prefix
@@ -156,26 +174,31 @@ def sweep_row_col(n: int):
                 col_mismatches.append(tuple(perm))
             return
         block = i // 2
-        for v in range(1, n + 1):
-            if not free[v]:
-                continue
-            # positions 2b, 2b+1 (0-based) must hold the values 2b+1, 2b+2
+        last = n - i - 1
+        for k in range(last + 1):
+            v = rest[k]
+            # the least and the greatest value still to come after v
+            low = rest[k == 0] if last else n + 1
+            high = rest[last - (k == last)] if last else 0
+            c_lo, c_hi = (v, lo) if v < lo else (lo, v)
             c_pairs = pairs and (v - 1) // 2 == block
-            c_avoids = avoids and v <= hi
-            # skip the insertion when its two flags are false already
-            if not (one_row or one_col or c_pairs or c_avoids):
-                continue
-            child = [r[:] for r in rows]
-            _sch_step(child, v)
-            c_row = len(child) == 1
-            c_col = len(child[0]) <= 2
+            # v itself is at most hi, by the parent's look-ahead
+            c_avoids = avoids and high <= c_hi
+            child = rows
+            c_row = c_col = False
+            if one_row or one_col:
+                child = [r[:] for r in rows]
+                _sch_step(child, v)
+                row0 = child[0]
+                c_row = one_row and len(child) == 1 and (len(row0) < 2 or low > row0[-2])
+                c_col = one_col and (len(row0) < 2 or len(row0) == 2 and high < row0[-1])
             if not (c_row or c_col or c_pairs or c_avoids):
                 continue
-            free[v] = False
+            del rest[k]
             perm.append(v)
-            walk(child, c_row, c_col, c_pairs, c_avoids, *((v, lo) if v < lo else (lo, v)))
+            walk(child, c_row, c_col, c_pairs, c_avoids, c_lo, c_hi)
             perm.pop()
-            free[v] = True
+            rest.insert(k, v)
 
     walk([], True, True, True, True, n + 1, n + 1)
     return row_count, col_count, row_mismatches, col_mismatches

@@ -69,16 +69,33 @@ def conjugate(p: Partition) -> Partition:
 def cluster_map(p: Partition, n: int) -> Partition:
     """Sum the column lengths of ``p`` in consecutive blocks of ``n``.
 
-    The i-th part of the result is the total number of cells in columns
-    (i-1)*n+1 .. i*n of the diagram of ``p``.  For n=1 this is conjugation.
-    The total number of cells is preserved.
+    The i-th part of the result (from 0) is the number of cells in columns
+    i*n+1 .. (i+1)*n of the diagram of ``p``.  With q, r = divmod(part, n), a
+    row fills every block below q, puts r cells in block q and none above,
+    so part i is n * #{parts with q > i} + sum{r : q = i}.  Only the last
+    block can be empty (when every part with the largest q has r = 0), and it
+    is dropped.  For n=1 this is conjugation.  The total number of cells is
+    preserved.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cols = conjugate(p)
-    return tuple(
-        s for s in (sum(cols[i : i + n]) for i in range(0, len(cols), n)) if s
-    )
+    if not p:
+        return ()
+    blocks = p[0] // n + 1
+    ends = [0] * blocks  # parts with q = i
+    rems = [0] * blocks  # sum of r over the parts with q = i
+    for part in p:
+        q, r = divmod(part, n)
+        ends[q] += 1
+        rems[q] += r
+    result = []
+    longer = len(p)  # parts with q > i
+    for i in range(blocks):
+        longer -= ends[i]
+        result.append(n * longer + rems[i])
+    if not result[-1]:
+        result.pop()
+    return tuple(result)
 
 
 def satisfies_cn_condition(p: Partition, n: int) -> bool:

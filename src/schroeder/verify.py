@@ -122,9 +122,13 @@ def run_counts(max_n: int = 9) -> VerifyReport:
             lambda: f"gf={coeffs[k]}",
         )
 
+    block_claims = [
+        (n, f"double {n}-cluster fixed points match the block condition")
+        for n in range(1, 5)
+    ]
     for order_n in range(C2_MAX + 1):
         for p in partitions_of(order_n):
-            for n in range(1, 5):
+            for n, claim in block_claims:
                 fixed = cluster_map(cluster_map(p, n), n) == p
                 if n == 2:
                     report.check(
@@ -133,7 +137,7 @@ def run_counts(max_n: int = 9) -> VerifyReport:
                         lambda: str(p),
                     )
                 report.check(
-                    f"double {n}-cluster fixed points match the block condition",
+                    claim,
                     fixed == satisfies_cn_condition(p, n),
                     lambda: str(p),
                 )
@@ -666,12 +670,13 @@ SUITES = {
 }
 
 # the largest depth of each suite that finishes in about a minute on a 2-core
-# host (counts 14: 39 s, 15: 120 s; differential 38: 13-16 s; lattice 23:
-# 10-14 s, 25: 26-31 s, 26: 43 s, its pair loop growing with the square of
-# the partition count; rsk 9: 5 s, and each further n multiplies its S_n
-# walk by n + 1); the poset suites stop where poset enumeration does
+# host (counts 20: 35 s, 21: 67 s, its walk about doubling with each n;
+# differential 38: 13-16 s; lattice 23: 10-14 s, 25: 26-31 s, 26: 43 s, its
+# pair loop growing with the square of the partition count; rsk 9: 5 s, and
+# each further n multiplies its S_n walk by n + 1); the poset suites stop
+# where poset enumeration does
 MAX_DEPTH = {
-    "counts": 14,
+    "counts": 20,
     "differential": 38,
     "rsk": 9,
     "lattice": 25,

@@ -38,6 +38,20 @@ def filtered_schroeder_partitions(n):
     return [p for p in partitions_of(n) if is_schroeder(p)]
 
 
+def conjugate_cluster_map(p, n):
+    """Block sums of the column lengths of ``p``, read off its conjugate:
+    the i-th part is the sum of columns i*n+1 .. i*n+n, empty blocks
+    dropped."""
+    from schroeder.partitions import conjugate
+
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cols = conjugate(p)
+    return tuple(
+        s for s in (sum(cols[i : i + n]) for i in range(0, len(cols), n)) if s
+    )
+
+
 def brute_up_covers(p, leq, is_valid, partitions_of):
     n = sum(p)
     return sorted(

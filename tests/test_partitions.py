@@ -2,7 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_schroeder_partitions, filtered_schroeder_partitions
+from oracles import (
+    brute_schroeder_partitions,
+    conjugate_cluster_map,
+    filtered_schroeder_partitions,
+)
 from schroeder.partitions import (
     check_partition,
     cluster_map,
@@ -88,6 +92,18 @@ def test_gf_against_enumeration():
     assert coeffs[4] == 3
     for k in range(41):
         assert coeffs[k] == len(enumerate_schroeder_partitions(k))
+
+
+def test_cluster_map_matches_conjugate_oracle():
+    for total in range(25):
+        for p in partitions_of(total):
+            for n in range(1, 7):
+                assert cluster_map(p, n) == conjugate_cluster_map(p, n), (p, n)
+    for n in range(1, 7):
+        assert cluster_map((), n) == ()
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            cluster_map((2, 1), n)
 
 
 def test_cluster_map_preserves_order_exhaustive():

@@ -20,6 +20,9 @@ suite=counts checks=13619 violations=0
 [counts 8]
 suite=counts checks=13643 violations=0
 
+[counts 12]
+suite=counts checks=13659 violations=0
+
 [differential 1]
 suite=differential checks=3 violations=1
 violation: upper bound 2k attained in range
